@@ -14,8 +14,9 @@ This module contains the *exact* combinatorial side of the reproduction:
 - :func:`brute_force_assignment` — exponential exact oracle for tiny
   instances (test reference).
 - :func:`max_satisfied` — the maximum number of simultaneously satisfiable
-  users (OPT_sat) for infeasible instances: exact via enumeration of load
-  partitions for identical machines, greedy heuristic otherwise.
+  users (OPT_sat) for infeasible instances: exact in O(m*n) for identical
+  machines (the better of a greedy ``m - 1``-machine cover and a
+  segment-split DP over the top users), greedy heuristic otherwise.
 - :func:`multiplicative_slack` / :func:`additive_slack` — how much the
   thresholds can be tightened while staying feasible; the experiment suite
   sweeps generated slack and these functions audit it.
@@ -33,9 +34,10 @@ the rest).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -152,6 +154,27 @@ def _greedy_prefix_size(
     return lo
 
 
+def _pack_prefixes(
+    instance: Instance, resources: Iterable[int], order: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Give each resource in turn the largest feasible prefix of the users
+    not yet placed, in threshold-descending ``order``.
+
+    Returns the partial assignment (``-1`` = unplaced) and the number of
+    users placed, who are exactly ``order[:placed]``.
+    """
+    sorted_q = instance.thresholds[order]
+    assignment = np.full(instance.n_users, -1, dtype=np.int64)
+    start = 0
+    for r in resources:
+        if start >= instance.n_users:
+            break
+        t = _greedy_prefix_size(instance, int(r), sorted_q, start)
+        assignment[order[start : start + t]] = r
+        start += t
+    return assignment, start
+
+
 def greedy_assignment(instance: Instance) -> FeasibilityResult:
     """Threshold-sorted greedy packing; exact for identical machines.
 
@@ -168,18 +191,9 @@ def greedy_assignment(instance: Instance) -> FeasibilityResult:
     """
     _require_exact_model(instance, "greedy_assignment")
     order = np.argsort(-instance.thresholds, kind="stable")
-    sorted_q = instance.thresholds[order]
-
-    assignment = np.full(instance.n_users, -1, dtype=np.int64)
-    start = 0
-    for r in _resource_strength_order(instance):
-        if start >= instance.n_users:
-            break
-        t = _greedy_prefix_size(instance, int(r), sorted_q, start)
-        if t > 0:
-            assignment[order[start : start + t]] = r
-            start += t
-
+    assignment, start = _pack_prefixes(
+        instance, _resource_strength_order(instance), order
+    )
     if start < instance.n_users:
         # Failure is conclusive for identical machines (symmetry) and for
         # uniform thresholds (each machine then packs exactly its capacity
@@ -339,69 +353,6 @@ def is_feasible(instance: Instance) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _partitions_at_most(n: int, parts: int, cap: int) -> Iterator[list[int]]:
-    """Non-increasing positive integer partitions of ``n`` into <= ``parts``
-    parts, each at most ``cap``."""
-    if n == 0:
-        yield []
-        return
-    if parts == 0:
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions_at_most(n - first, parts - 1, first):
-            yield [first] + rest
-
-
-def _count_satisfied_for_loads(loads_desc: list[int], q_desc: np.ndarray) -> int:
-    """Max satisfied users for a fixed load vector, identical machines.
-
-    A user counts on resource with load ``x`` iff its threshold is at least
-    ``x``.  Eligibility sets are nested in ``x``, so the greedy that serves
-    the most demanding resources first with the highest-threshold users is
-    optimal (transversal matroid with a laminar family).
-    """
-    total = 0
-    ptr = 0  # next unused user in descending-threshold order
-    n = q_desc.size
-    for x in loads_desc:  # descending
-        take = 0
-        while take < x and ptr < n and q_desc[ptr] >= x:
-            ptr += 1
-            take += 1
-        total += take
-    return total
-
-
-def _witness_state_for_loads(
-    instance: Instance, loads_desc: list[int], order_desc: np.ndarray
-) -> State:
-    """Construct an assignment realising :func:`_count_satisfied_for_loads`."""
-    q_desc = instance.thresholds[order_desc]
-    n, m = instance.n_users, instance.n_resources
-    assignment = np.full(n, -1, dtype=np.int64)
-    slots = list(loads_desc) + [0] * (m - len(loads_desc))
-    ptr = 0
-    counted: list[list[int]] = [[] for _ in range(m)]
-    for r, x in enumerate(loads_desc):
-        take = 0
-        while take < x and ptr < n and q_desc[ptr] >= x:
-            counted[r].append(int(order_desc[ptr]))
-            ptr += 1
-            take += 1
-    # Fill remaining capacity of each resource with leftover users.
-    leftovers = [int(order_desc[i]) for i in range(ptr, n)]
-    li = 0
-    for r in range(m):
-        for u in counted[r]:
-            assignment[u] = r
-        deficit = slots[r] - len(counted[r])
-        for _ in range(deficit):
-            assignment[leftovers[li]] = r
-            li += 1
-    assert li == len(leftovers)
-    return State(instance, assignment)
-
-
 def max_satisfied_brute_force(instance: Instance, limit: int = 2_000_000) -> MaxSatisfiedResult:
     """Exact OPT_sat by exhaustive assignment search (test oracle)."""
     _require_exact_model(instance, "max_satisfied_brute_force")
@@ -417,82 +368,128 @@ def max_satisfied_brute_force(instance: Instance, limit: int = 2_000_000) -> Max
     return MaxSatisfiedResult(best, True, "brute-force", best_state)
 
 
-def max_satisfied(instance: Instance, exact_limit: int = 200_000) -> MaxSatisfiedResult:
+def _segment_split(caps: list[int], m: int, n: int) -> list[int] | None:
+    """Cut points ``0 = c_0 < c_1 < ... < c_m = T`` for the largest ``T``
+    whose top-``T`` users split into ``m`` contiguous non-empty segments,
+    each no longer than the cap of its last user, with the caps of the
+    segment ends summing to at least ``n``; None if no ``T`` qualifies.
+
+    ``caps`` is non-increasing.  ``g_j(i)``, the best cap sum over splits
+    of users ``[0, i)`` into ``j`` segments, is
+    ``caps[i-1] + max g_{j-1}(a)`` over ``a`` in ``[i - caps[i-1], i)``.
+    Both window ends only move right (caps never increase), so a monotone
+    deque yields each layer in O(n): O(m*n) in all.
+    """
+    unreachable = -1
+    g = [0] + [unreachable] * n
+    back: list[list[int]] = []
+    for j in range(1, m + 1):
+        nxt = [unreachable] * (n + 1)
+        arg = [0] * (n + 1)
+        window: deque[int] = deque()  # start points, g strictly decreasing
+        for i in range(j, n + 1):
+            v = g[i - 1]
+            if v != unreachable:
+                while window and g[window[-1]] <= v:
+                    window.pop()
+                window.append(i - 1)
+            lo = i - caps[i - 1]
+            while window and window[0] < lo:
+                window.popleft()
+            if window:
+                a = window[0]
+                nxt[i] = g[a] + caps[i - 1]
+                arg[i] = a
+        g = nxt
+        back.append(arg)
+    reach = [i for i in range(n + 1) if g[i] >= n]
+    if not reach:
+        return None
+    cuts = [reach[-1]]
+    for arg in reversed(back):
+        cuts.append(arg[cuts[-1]])
+    return cuts[::-1]
+
+
+def _max_satisfied_identical(instance: Instance) -> MaxSatisfiedResult:
+    """Exact OPT_sat on identical machines (``ell(x) = x``), in O(m*n).
+
+    A user with threshold ``q`` is satisfied iff its resource's load is at
+    most its cap ``min(floor(q), n)``.  Any optimum falls in one of two
+    cases (``docs/THEORY.md`` Theorem 3):
+
+    - **A** — some resource holds no satisfied user, so it can absorb every
+      unsatisfied one and the rest is the largest set packable on ``m - 1``
+      machines: the greedy maximal-prefix cover.
+    - **B** — every resource holds a satisfied user.  Then the satisfied
+      users can be taken to be the top ``T`` in threshold order, split into
+      ``m`` contiguous segments, each loaded up to its last user's cap; the
+      leftovers fit into that slack iff the caps of the segment ends sum to
+      at least ``n`` (:func:`_segment_split`).
+    """
+    n, m = instance.n_users, instance.n_resources
+    order = np.argsort(-instance.thresholds, kind="stable")
+    caps = np.minimum(np.floor(instance.thresholds[order]), n).astype(np.int64)
+
+    assignment, best = _pack_prefixes(instance, range(m - 1), order)
+    cuts = _segment_split(caps.tolist(), m, n)
+    if cuts is not None and cuts[-1] > best:
+        best = cuts[-1]
+        bounds = np.asarray(cuts)
+        lengths = np.diff(bounds)
+        slack = caps[bounds[1:] - 1] - lengths
+        # Leftovers fill the slack resource by resource.
+        before = np.cumsum(slack) - slack
+        fill = np.clip(n - best - before, 0, slack)
+        resources = np.arange(m)
+        assignment[order[:best]] = np.repeat(resources, lengths)
+        assignment[order[best:]] = np.repeat(resources, fill)
+    else:
+        assignment[order[best:]] = m - 1  # the spare resource
+    state = State(instance, assignment)
+    assert state.n_satisfied == best, "OPT_sat witness misses its count"
+    return MaxSatisfiedResult(best, True, "segment-split-dp", state)
+
+
+def max_satisfied(instance: Instance) -> MaxSatisfiedResult:
     """Maximum number of simultaneously satisfiable users (OPT_sat).
 
-    For identical machines with unit weights the search is exact: every
-    assignment is characterised by its (sorted) load partition, and for a
-    fixed partition the greedy nested-eligibility count is optimal, so
-    enumerating non-increasing partitions of ``n`` into at most ``m`` parts
-    solves the problem.  Enumeration is abandoned in favour of the greedy
-    heuristic when the partition count would exceed ``exact_limit``
-    (approximately; partitions are counted on the fly).
+    Exact for identical machines with unit weights and complete access:
+    OPT_sat is the better of "one resource holds no satisfied user" (a
+    greedy cover of ``m - 1`` machines) and "every resource holds one" (a
+    segment-split DP), see :func:`_max_satisfied_identical`.
 
     For heterogeneous profiles the result is a greedy lower bound
     (``exact=False``): pack satisfying groups greedily, then dump leftovers
     on the resource where they break the fewest users.
     """
     _require_exact_model(instance, "max_satisfied")
-    n, m = instance.n_users, instance.n_resources
-    order_desc = np.argsort(-instance.thresholds, kind="stable")
-    q_desc = instance.thresholds[order_desc]
-
     if instance.identical_resources:
-        best = -1
-        best_loads: list[int] | None = None
-        seen = 0
-        exact = True
-        for loads in _partitions_at_most(n, m, n):
-            seen += 1
-            if seen > exact_limit:
-                exact = False
-                break
-            c = _count_satisfied_for_loads(loads, q_desc)
-            if c > best:
-                best, best_loads = c, loads
-            if best == n:
-                break
-        if best_loads is not None and exact:
-            state = _witness_state_for_loads(instance, best_loads, order_desc)
-            assert state.n_satisfied >= best
-            return MaxSatisfiedResult(
-                int(state.n_satisfied), True, "partition-enumeration", state
-            )
+        return _max_satisfied_identical(instance)
+    n, m = instance.n_users, instance.n_resources
 
     # Greedy heuristic (lower bound): greedy feasible packing of a maximal
-    # satisfied set, leftovers dumped where they hurt least.
-    greedy = greedy_assignment(instance)
-    if greedy.feasible:
-        return MaxSatisfiedResult(n, greedy.exact, "greedy-feasible", greedy.state)
-
-    assignment = np.full(n, -1, dtype=np.int64)
-    start = 0
-    sorted_q = q_desc
-    group_min: dict[int, float] = {}
-    for r in _resource_strength_order(instance):
-        if start >= n:
-            break
-        t = _greedy_prefix_size(instance, int(r), sorted_q, start)
-        if t > 0:
-            assignment[order_desc[start : start + t]] = r
-            group_min[int(r)] = float(sorted_q[start + t - 1])
-            start += t
-    leftovers = order_desc[start:]
-    if leftovers.size:
-        # Dump all leftovers on the single resource where the resulting
-        # load breaks the fewest packed users (often an empty resource).
-        base_loads = np.bincount(
-            assignment[assignment >= 0], minlength=m
-        ).astype(np.float64)
-        best_r, best_broken = 0, np.inf
-        for r in range(m):
-            new_load = base_loads[r] + leftovers.size
-            lat = instance.latencies[r](new_load)
-            members = np.nonzero(assignment == r)[0]
-            broken = int(np.count_nonzero(instance.thresholds[members] < lat))
-            if broken < best_broken:
-                best_r, best_broken = r, broken
-        assignment[leftovers] = best_r
+    # satisfied set, leftovers dumped where they hurt least.  A complete
+    # packing is an exact witness (see greedy_assignment).
+    order = np.argsort(-instance.thresholds, kind="stable")
+    assignment, start = _pack_prefixes(
+        instance, _resource_strength_order(instance), order
+    )
+    if start == n:
+        return MaxSatisfiedResult(n, True, "greedy-feasible", State(instance, assignment))
+    # Dump all leftovers on the single resource where the resulting load
+    # breaks the fewest packed users (often an empty resource).
+    leftovers = order[start:]
+    base_loads = np.bincount(assignment[assignment >= 0], minlength=m).astype(np.float64)
+    best_r, best_broken = 0, np.inf
+    for r in range(m):
+        new_load = base_loads[r] + leftovers.size
+        lat = instance.latencies[r](new_load)
+        members = np.nonzero(assignment == r)[0]
+        broken = int(np.count_nonzero(instance.thresholds[members] < lat))
+        if broken < best_broken:
+            best_r, best_broken = r, broken
+    assignment[leftovers] = best_r
     state = State(instance, assignment)
     return MaxSatisfiedResult(int(state.n_satisfied), False, "greedy-dump", state)
 

@@ -325,7 +325,9 @@ class State:
             raise ValueError("user index out of range")
         if targets.min() < 0 or targets.max() >= self.instance.n_resources:
             raise ValueError("target references an out-of-range resource")
-        if np.unique(users).size != users.size:
+        # Sort + adjacent compare: NumPy's np.unique hashes, ~10x slower here.
+        sorted_users = np.sort(users)
+        if np.any(sorted_users[1:] == sorted_users[:-1]):
             raise ValueError("a user may migrate at most once per application")
         if self.instance.access is not None:
             ok = self.instance.access.contains(users, targets)

@@ -266,10 +266,12 @@ def t2_infeasible(
     ]
     rows = []
     stats_map: dict[tuple[float, str, str], dict] = {}
+    opt_map: dict[float, dict] = {}
     for factor in overload_factors:
         n = int(round(factor * m * q))
         inst = build_instance("overloaded", n=n, m=m, q=float(q))
         opt = opt_satisfied(inst)
+        opt_map[factor] = {"opt_exact": opt.exact, "opt_method": opt.method}
         for initial in ("pile", "random"):
             for proto in protocols:
                 # Paired protocol arms per (factor, start) workload.
@@ -301,9 +303,13 @@ def t2_infeasible(
                         float(np.median(qrounds)) if qrounds else stats["rounds_median"],
                     ]
                 )
+    exact_everywhere = all(o["opt_exact"] for o in opt_map.values())
     findings = [
         "OPT_sat = (m-1)*q for uniform overloaded instances; the greedy "
         "witness attains it (see tests/test_feasibility.py)",
+        "OPT_sat exact (segment-split DP) at every factor"
+        if exact_everywhere
+        else "OPT_sat is a greedy lower bound at some factor",
         "pile starts approach OPT_sat; random starts freeze far below it — "
         "stable states of overloaded instances can be arbitrarily bad",
     ]
@@ -313,7 +319,7 @@ def t2_infeasible(
         headers=headers,
         rows=rows,
         findings=findings,
-        extra={"stats": stats_map},
+        extra={"stats": stats_map, "opt": opt_map},
     )
 
 
@@ -331,6 +337,6 @@ def t2_cells(**params):
     """Cell decomposition of :func:`t2_infeasible`.
 
     No cell simulates, but the enumeration does build each overloaded
-    instance to price its OPT_sat witness — cheap greedy work.
+    instance and solves its OPT_sat exactly — milliseconds per instance.
     """
     return enumerate_cells(t2_infeasible, **params)

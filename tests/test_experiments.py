@@ -125,6 +125,10 @@ class TestKeyClaims:
         permit_rand = by_key[("random", "permit")]
         assert permit_pile[6] == pytest.approx(100.0, abs=1.0)  # % of OPT
         assert permit_rand[6] < permit_pile[6]
+        assert result.extra["opt"] == {
+            1.5: {"opt_exact": True, "opt_method": "segment-split-dp"}
+        }
+        assert "OPT_sat exact (segment-split DP) at every factor" in result.findings
 
     def test_t3_executions_agree(self):
         result = t3_msgsim(**MICRO["T3"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.certify import certify_max_satisfied_witness
 from repro.core.feasibility import (
     additive_slack,
     brute_force_assignment,
@@ -16,8 +17,60 @@ from repro.core.feasibility import (
 )
 from repro.core.instance import AccessMap, Instance
 from repro.core.latency import AffineLatency, LatencyProfile
+from repro.registry import build_instance
 
 from conftest import random_small_instance
+
+
+def _partitions_at_most(n, parts, cap):
+    """Non-increasing positive integer partitions of ``n`` into <= ``parts``
+    parts, each at most ``cap``."""
+    if n == 0:
+        yield []
+        return
+    if parts == 0:
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in _partitions_at_most(n - first, parts - 1, first):
+            yield [first] + rest
+
+
+def _count_satisfied_for_loads(loads_desc, q_desc):
+    """Max satisfied users for a fixed load vector, identical machines.
+
+    Eligibility ``q_u >= x`` is nested in the load ``x``, so serving the
+    most loaded resources first with the highest-threshold users is optimal.
+    """
+    total = ptr = 0
+    for x in loads_desc:
+        take = 0
+        while take < x and ptr < q_desc.size and q_desc[ptr] >= x:
+            ptr += 1
+            take += 1
+        total += take
+    return total
+
+
+def opt_sat_by_partitions(instance):
+    """OPT_sat oracle on identical machines: every assignment is its sorted
+    load partition, so maximise the nested-eligibility count over all
+    partitions of ``n`` into at most ``m`` parts."""
+    q_desc = np.sort(instance.thresholds)[::-1]
+    n, m = instance.n_users, instance.n_resources
+    return max(
+        _count_satisfied_for_loads(loads, q_desc)
+        for loads in _partitions_at_most(n, m, n)
+    )
+
+
+def _random_thresholds(rng, n, m, kind):
+    if kind == "integer":
+        return rng.integers(1, n + 2, size=n).astype(np.float64)
+    if kind == "fractional":
+        return rng.uniform(0.5, n + 1.0, size=n)
+    # Some users can never be satisfied (q < 1); the rest are tight.
+    tight = rng.integers(1, n // m + 3, size=n).astype(np.float64)
+    return np.where(rng.random(n) < 0.3, rng.uniform(0.05, 0.99, size=n), tight)
 
 
 class TestPointwiseOrder:
@@ -185,6 +238,55 @@ class TestMaxSatisfied:
         inst = Instance.related_machines([2.0] * 22, [1.0] * 3 + [4.0] * 2)
         res = max_satisfied(inst)
         assert res.n_satisfied == 22
+
+    @pytest.mark.parametrize("kind", ["integer", "fractional", "below-one"])
+    def test_matches_partition_oracle_on_random_instances(self, kind):
+        rng = np.random.default_rng({"integer": 31, "fractional": 37, "below-one": 41}[kind])
+        for _ in range(250):
+            n = int(rng.integers(1, 21))
+            m = int(rng.integers(1, 7))
+            inst = Instance.identical_machines(_random_thresholds(rng, n, m, kind), m)
+            res = max_satisfied(inst)
+            assert res.exact and res.method == "segment-split-dp"
+            assert res.n_satisfied == opt_sat_by_partitions(inst), (inst.thresholds, m)
+            assert res.state.n_satisfied == res.n_satisfied
+
+    def test_partition_oracle_matches_brute_force(self):
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            inst = random_small_instance(rng, max_n=6, max_m=3, max_q=5)
+            brute = max_satisfied_brute_force(inst)
+            assert opt_sat_by_partitions(inst) == brute.n_satisfied
+
+    def test_single_resource(self):
+        # Everyone shares the one resource at load n: OPT_sat counts q >= n.
+        inst = Instance.identical_machines([6.0, 5.5, 5.0, 4.9, 2.0], 1)
+        res = max_satisfied(inst)
+        assert res.exact and res.n_satisfied == 3 == opt_sat_by_partitions(inst)
+        assert certify_max_satisfied_witness(inst, res)[0]
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 3), (4, 6)])
+    def test_no_more_users_than_resources(self, n, m):
+        # A user alone on a resource is satisfied iff q >= 1.
+        thresholds = [0.5] + [1.0] * (n - 1)
+        inst = Instance.identical_machines(thresholds, m)
+        res = max_satisfied(inst)
+        assert res.exact and res.n_satisfied == n - 1
+        assert res.n_satisfied == opt_sat_by_partitions(inst)
+        assert certify_max_satisfied_witness(inst, res)[0]
+
+    @pytest.mark.parametrize(
+        "m,q,n",
+        [(16, 8, 160), (16, 8, 256), (64, 16, 1280), (64, 16, 2048)],
+        ids=["t2-ci-1.25", "t2-ci-2.0", "t2-full-1.25", "t2-full-2.0"],
+    )
+    def test_t2_instances_exact_with_certified_witness(self, m, q, n):
+        inst = build_instance("overloaded", n=n, m=m, q=float(q))
+        res = max_satisfied(inst)
+        assert res.exact and res.method == "segment-split-dp"
+        assert res.n_satisfied == (m - 1) * q
+        ok, issues = certify_max_satisfied_witness(inst, res)
+        assert ok, issues[:3]
 
     def test_heuristic_lower_bound_on_infeasible_related(self):
         inst = Instance.related_machines([2.0] * 40, [1.0] * 3 + [2.0] * 2)

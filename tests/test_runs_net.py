@@ -289,9 +289,14 @@ def test_worker_subprocesses_over_tcp(tmp_path):
     assert reference["failed"] == 0
     server, sbox = serve_in_thread(tmp_path, lease_ttl_s=10.0)
     host, port = sbox["address"]
+    # Each worker takes at most 2 of the 3 cells, so the sweep cannot
+    # finish (and the coordinator close) before the slower one connects.
     procs = [
         subprocess.Popen(
-            [sys.executable, "-m", "repro", "runs", "worker", "--connect", f"{host}:{port}"],
+            [
+                sys.executable, "-m", "repro", "runs", "worker",
+                "--connect", f"{host}:{port}", "--max-cells", "2",
+            ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,

@@ -106,6 +106,23 @@ def test_apply_migrations_duplicate_user_rejected(small_uniform):
         state.apply_migrations(np.asarray([0, 0]), np.asarray([1, 2]))
 
 
+def test_apply_migrations_large_batch_non_adjacent_duplicate_rejected():
+    inst = Instance.identical_machines(np.full(5000, 4.0), 8)
+    rng = np.random.default_rng(5)
+    state = State.uniform_random(inst, rng)
+    users = rng.permutation(inst.n_users)[:1200]
+    users[900] = users[17]  # far apart in the caller's order
+    targets = (state.assignment[users] + 1) % inst.n_resources
+    users_before = users.copy()
+    loads, assignment, version = state.loads.copy(), state.assignment.copy(), state.version
+    with pytest.raises(ValueError, match="at most once"):
+        state.apply_migrations(users, targets)
+    np.testing.assert_array_equal(state.loads, loads)
+    np.testing.assert_array_equal(state.assignment, assignment)
+    assert state.version == version
+    np.testing.assert_array_equal(users, users_before)  # not sorted in place
+
+
 def test_apply_migrations_empty(small_uniform):
     state = State(small_uniform, np.asarray([0] * 12))
     assert state.apply_migrations(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)) == 0
