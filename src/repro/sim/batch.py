@@ -51,6 +51,35 @@ schedules, per-rep instance seeding, random-count departures —
 transparently falls back to the scalar engine via
 :func:`~repro.sim.parallel.replicate`'s backend selection; see
 :func:`batch_support` for the reason a given spec is not batchable.
+
+Filter-first kernels
+--------------------
+
+Most movers of a round commit nothing, so the kernels evaluate a verdict
+or a bound once per live (row, resource) cell, gather it per mover, and
+run the exact per-mover math only on the survivors.  No draw moves, so
+the trajectories stay bit-identical; three arguments make each filter
+exact:
+
+- *Slack-proportional commit bound* (sampling kernel).  The commit
+  uniforms are drawn up front, and a mover commits only if
+  ``unif < clip(free / contention, floor, 1)``.  Its free target capacity
+  is at most its row's largest ``max(0, cap_max - ld)`` over all
+  resources, where ``cap_max`` is each resource's largest capacity over
+  the instance's distinct thresholds.  IEEE subtraction, division by
+  the same contention value and ``clip`` are all monotone, so the
+  per-resource bound is ``>=`` every mover's probability and
+  ``unif < bound`` drops only movers that would not commit.
+- *Room verdict* (neighborhood kernel, uniform threshold and unit
+  weights).  Every non-self probe asks the same question of its target,
+  ``ell(ld + 1) <= q0``, so it is answered once per cell with the same
+  elementwise latency expression and gathered as a bool; a self-probe is
+  rejected by ``not_self`` either way.
+- *Regular-graph neighbour draw* (``ResourceGraph.sample_neighbor``).
+  When every resource has the same degree ``d``, ``integers(0, d, size=k)``
+  consumes the stream exactly like the per-element array bound (one
+  bounded draw per element from the same 32-bit source) and returns the
+  same values; a test pins this NumPy property.
 """
 
 from __future__ import annotations
@@ -386,7 +415,25 @@ class _BatchEngine:
         aff_general = self.affine and not self.u_affine
         self.slF = np.tile(self.slopes, R) if aff_general else None
         self.offF = np.tile(self.offsets, R) if aff_general else None
-        self.capRF = None  # lazy per-resource capacity tile (slack + uniform q)
+        if type(self.rate) is SlackProportionalRate:
+            # Per-resource capacity at the one q (uniform thresholds), and
+            # the commit bound's capacity row: the largest capacity any
+            # user's threshold gives on each resource.  A max over the
+            # distinct thresholds, not the capacity at the largest one:
+            # capacity need not be monotone in q at float edges (M/M/1
+            # gives cap(0.9) = 1 but cap(1 - 1e-10) = -1 at mu = 3).
+            if self.uthr:
+                cap_row = profile.capacities_at(
+                    np.arange(m, dtype=np.int64), np.full(m, self.q0)
+                ).astype(np.float64)
+                self.capRF = np.tile(cap_row, R)
+                self.cap_max = cap_row
+            else:
+                self.capRF = None
+                uq = np.unique(thresholds)
+                self.cap_max = np.empty(m, dtype=np.float64)
+                for f, idx in profile._groups:
+                    self.cap_max[idx] = f.capacity_vec(uq).max(initial=-1)
         # Reused per-round scratch, sliced to the live count.
         self.usr_buf = np.empty((R, n), dtype=np.float64)
         self.unsat_buf = np.empty((R, n), dtype=bool)
@@ -458,8 +505,8 @@ class _BatchEngine:
 
     # -- latency helpers ------------------------------------------------------
 
-    def _res_latencies(self) -> np.ndarray:
-        ld = self.ld
+    def _res_latencies(self, ld: np.ndarray) -> np.ndarray:
+        """``ell_r(ld[k, r])`` per live (row, resource) cell."""
         if self.affine:
             return self.slopes * ld + self.offsets
         out = np.empty_like(ld)
@@ -477,45 +524,64 @@ class _BatchEngine:
             return self.slF.take(tf_probe) * hyp + self.offF.take(tf_probe)
         return self.profile.evaluate_at(t_probe, hyp)
 
+    def _unsatisfied(self, A):
+        """``(A, n)`` unsatisfied mask of the live rows (a scratch view)."""
+        res_lat = self._res_latencies(self.ld)
+        if self.uthr:
+            # Uniform threshold: mark bad *resources* once, then one bool
+            # gather — 1/8th the bandwidth of the float gather + compare.
+            res_bad = res_lat > self.q0
+            return np.take(res_bad.reshape(-1), self.asgF, out=self.unsat_buf[:A])
+        usr_lat = np.take(res_lat.reshape(-1), self.asgF, out=self.usr_buf[:A])
+        return np.greater(usr_lat, self.thresholds, out=self.unsat_buf[:A])
+
     # -- commit machinery -----------------------------------------------------
 
-    def _slack_probs(self, t_v, tf_v, of_v, u_pos_v, unsat, pos, A):
-        """SlackProportionalRate.commit_probs, batchwide and bit-identical."""
-        m = self.m
-        ldf = self.ld.reshape(-1)
-        if self.uthr:
-            if self.capRF is None:  # per-resource capacity at the one q
-                cap_row = self.profile.capacities_at(
-                    np.arange(m, dtype=np.int64), np.full(m, self.q0)
-                ).astype(np.float64)
-                self.capRF = np.tile(cap_row, self.R)
-            caps = self.capRF.take(tf_v)
-        else:
-            caps = self.profile.capacities_at(
-                t_v, self.thrF.take(u_pos_v)
-            ).astype(np.float64)
-        free = np.maximum(0.0, caps - ldf.take(tf_v))
-        # contention: unsatisfied users per current resource, batchwide
+    def _contention(self, unsat, pos, A):
+        """The slack-proportional rate's contention, per flat (row, resource).
+
+        ``max(1, unsatisfied users on the resource)``; movers gather it at
+        their own resource.
+        """
         if self.uthr and self.uw:
             # uniform q + unit weights: everyone on an over-threshold
             # resource is unsatisfied, and a mover's own resource is over
             # threshold — so the unsatisfied count there is just its load
             # count, already tracked in ``ld``.
-            contention = np.maximum(ldf.take(of_v), 1.0)
+            return np.maximum(self.ld.reshape(-1), 1.0)
+        # (without alpha masking the mover positions are exactly the
+        # unsatisfied positions, so the scan is already done)
+        unsat_pos = pos if not self.alpha_draws else np.flatnonzero(unsat)
+        asg_flat = self.asgF.reshape(-1)
+        # Integer bincounts are exact, so accumulating per chunk is
+        # bit-identical to one whole-width pass (memory contract).
+        occ = np.zeros(A * self.m, dtype=np.int64)
+        for cs, ce in iter_chunks(unsat_pos.size):
+            occ += np.bincount(asg_flat.take(unsat_pos[cs:ce]), minlength=A * self.m)
+        return np.maximum(occ, 1)
+
+    def _commit_bound(self, contention, A):
+        """Per flat (row, resource) upper bound on :meth:`_slack_probs`.
+
+        Any mover's free target capacity is at most its row's largest
+        ``max(0, cap_max - ld)``; dividing by the mover's own contention and
+        clipping are monotone in IEEE arithmetic, so the bound gathered at a
+        mover's resource is ``>=`` its commit probability, bit for bit.
+        """
+        free_max = np.maximum(0.0, (self.cap_max - self.ld).max(axis=1))
+        ub = free_max[:, None] / contention.reshape(A, self.m)
+        return np.clip(ub, self.rate.floor, 1.0).reshape(-1)
+
+    def _slack_probs(self, t_v, tf_v, of_v, u_pos_v, contention):
+        """SlackProportionalRate.commit_probs, batchwide and bit-identical."""
+        if self.uthr:
+            caps = self.capRF.take(tf_v)
         else:
-            # (without alpha masking the mover positions are exactly the
-            # unsatisfied positions, so the scan is already done)
-            unsat_pos = pos if not self.alpha_draws else np.flatnonzero(unsat)
-            asg_flat = self.asgF.reshape(-1)
-            # Integer bincounts are exact, so accumulating per chunk is
-            # bit-identical to one whole-width pass (memory contract).
-            occ = np.zeros(A * m, dtype=np.int64)
-            for cs, ce in iter_chunks(unsat_pos.size):
-                occ += np.bincount(
-                    asg_flat.take(unsat_pos[cs:ce]), minlength=A * m
-                )
-            contention = np.maximum(occ.take(of_v), 1)
-        return np.clip(free / contention, self.rate.floor, 1.0)
+            caps = self.profile.capacities_at(
+                t_v, self.thrF.take(u_pos_v)
+            ).astype(np.float64)
+        free = np.maximum(0.0, caps - self.ld.reshape(-1).take(tf_v))
+        return np.clip(free / contention.take(of_v), self.rate.floor, 1.0)
 
     def _commit_uniforms(self, valid_pos: np.ndarray, A: int) -> np.ndarray:
         """Per-rep commit uniforms, in each stream's scalar order.
@@ -548,10 +614,10 @@ class _BatchEngine:
             keep = unif < self.P.reshape(-1).take(valid_pos)
         else:
             of_v = self.asgF.reshape(-1).take(valid_pos)
-            probs = self._slack_probs(
-                valid_t, valid_tf, of_v, valid_pos, unsat, pos, A
+            contention = self._contention(unsat, pos, A)
+            keep = unif < self._slack_probs(
+                valid_t, valid_tf, of_v, valid_pos, contention
             )
-            keep = unif < probs
         idx = np.flatnonzero(keep)
         return valid_pos.take(idx), valid_t.take(idx), valid_tf.take(idx)
 
@@ -575,9 +641,12 @@ class _BatchEngine:
             unif[s:e] = rng.random(e - s)
 
         # The committed set is one AND of independent masks — commit,
-        # moving, would-satisfy — so when the commit probability needs no
-        # would-satisfy math (constant/backoff rates) it runs first and
-        # the latency math only touches its survivors.
+        # moving, would-satisfy — so the commit test runs first and the
+        # latency math only touches its survivors.  Constant and backoff
+        # rates test the commit itself; the slack-proportional rate tests
+        # a per-resource upper bound on its probability (see
+        # ``_commit_bound``), and only the survivors that also move to a
+        # satisfying target pay for the exact probability.
         rate = self.rate
         asg_flat = self.asgF.reshape(-1)
         ldf = self.ld.reshape(-1)
@@ -586,55 +655,44 @@ class _BatchEngine:
         elif self.backoff:
             cand = np.flatnonzero(unif < self.P.reshape(-1).take(pos))
         else:
-            cand = None  # slack-proportional: probabilities need the math
+            contention = self._contention(unsat, pos, A)
+            ub = self._commit_bound(contention, A)
+            cand = np.flatnonzero(unif < ub.take(asg_flat.take(pos)))
 
-        if cand is not None:
-            pos_c, t_c, rkm_c = pos.take(cand), t.take(cand), rkm.take(cand)
-            # The probe math here is purely elementwise per mover, so it
-            # streams over chunks (bit-exact by construction) and only the
-            # surviving indices are kept full-width.
-            parts = []
-            for cs, ce in iter_chunks(pos_c.size):
-                p_ch, t_ch = pos_c[cs:ce], t_c[cs:ce]
-                tf_ch = rkm_c[cs:ce] + t_ch
-                moving = tf_ch != asg_flat.take(p_ch)
-                hyp = ldf.take(tf_ch) + (
-                    np.where(moving, 1.0, 0.0)
-                    if self.uw
-                    else np.where(moving, self.wF.take(p_ch), 0.0)
-                )
-                lat = self._probe_latency(t_ch, tf_ch, hyp)
-                thr_c = self.q0 if self.uthr else self.thrF.take(p_ch)
-                part = np.flatnonzero((lat <= thr_c) & moving)
-                if cs:
-                    part += cs
-                parts.append(part)
-            if not parts:
-                idx = np.empty(0, dtype=np.int64)
-            elif len(parts) == 1:
-                idx = parts[0]
-            else:
-                idx = np.concatenate(parts)
-            fu_f, t_f = pos_c.take(idx), t_c.take(idx)
-            tf_f = rkm_c.take(idx) + t_f
-        else:
-            tf = rkm + t
-            of = asg_flat.take(pos)
-            moving = tf != of
-            hyp = ldf.take(tf) + (
+        pos_c, t_c, rkm_c = pos.take(cand), t.take(cand), rkm.take(cand)
+        # The probe math here is purely elementwise per mover, so it
+        # streams over chunks (bit-exact by construction) and only the
+        # surviving indices are kept full-width.
+        parts = []
+        for cs, ce in iter_chunks(pos_c.size):
+            p_ch, t_ch = pos_c[cs:ce], t_c[cs:ce]
+            tf_ch = rkm_c[cs:ce] + t_ch
+            moving = tf_ch != asg_flat.take(p_ch)
+            hyp = ldf.take(tf_ch) + (
                 np.where(moving, 1.0, 0.0)
                 if self.uw
-                else np.where(moving, self.wF.take(pos), 0.0)
+                else np.where(moving, self.wF.take(p_ch), 0.0)
             )
-            lat = self._probe_latency(t, tf, hyp)
-            thr_all = self.q0 if self.uthr else self.thrF.take(pos)
-            oidx = np.flatnonzero((lat <= thr_all) & moving)
-            pos_o, tf_o, of_o, t_o = (
-                pos.take(oidx), tf.take(oidx), of.take(oidx), t.take(oidx)
+            lat = self._probe_latency(t_ch, tf_ch, hyp)
+            thr_c = self.q0 if self.uthr else self.thrF.take(p_ch)
+            part = np.flatnonzero((lat <= thr_c) & moving)
+            if cs:
+                part += cs
+            parts.append(part)
+        if not parts:
+            idx = np.empty(0, dtype=np.int64)
+        elif len(parts) == 1:
+            idx = parts[0]
+        else:
+            idx = np.concatenate(parts)
+        fu_f, t_f = pos_c.take(idx), t_c.take(idx)
+        tf_f = rkm_c.take(idx) + t_f
+        if type(rate) is SlackProportionalRate:
+            probs = self._slack_probs(
+                t_f, tf_f, asg_flat.take(fu_f), fu_f, contention
             )
-            probs = self._slack_probs(t_o, tf_o, of_o, pos_o, unsat, pos, A)
-            idx = np.flatnonzero(unif.take(oidx) < probs)
-            fu_f, tf_f, t_f = pos_o.take(idx), tf_o.take(idx), t_o.take(idx)
+            keep = np.flatnonzero(unif.take(cand.take(idx)) < probs)
+            fu_f, t_f, tf_f = fu_f.take(keep), t_f.take(keep), tf_f.take(keep)
         return fu_f, t_f, tf_f
 
     def _kernel_multiprobe(self, pos, counts, bounds, rkm, unsat, A):
@@ -692,16 +750,25 @@ class _BatchEngine:
             t[s:e] = self.graph.sample_neighbor(own_r[s:e], self.live_rngs[k])
         tf = rkm + t
         not_self = t != own_r
-        ldf = self.ld.reshape(-1)
-        # Mirrors State.would_satisfy: a self-probe evaluates the target at
-        # its *current* load (the user already counts), others add weight.
-        hyp = ldf.take(tf) + (
-            np.where(not_self, 1.0, 0.0)
-            if self.uw
-            else np.where(not_self, self.wF.take(pos), 0.0)
-        )
-        lat = self._probe_latency(t, tf, hyp)
-        ok = lat <= (self.q0 if self.uthr else self.thrF.take(pos))
+        if self.uthr and self.uw:
+            # Every non-self probe asks the same question of its target:
+            # is there room for one more unit at q0?  Answer it once per
+            # live (row, resource) cell, then gather a bool per mover.
+            # (the same elementwise expressions as _probe_latency: with
+            # hyp >= 1, ``1.0 * hyp + 0.0`` is ``hyp`` exactly)
+            room = self._res_latencies(self.ld + 1.0) <= self.q0
+            ok = room.reshape(-1).take(tf)
+        else:
+            # Mirrors State.would_satisfy: a self-probe evaluates the target
+            # at its *current* load (the user already counts), others add
+            # weight.
+            hyp = self.ld.reshape(-1).take(tf) + (
+                np.where(not_self, 1.0, 0.0)
+                if self.uw
+                else np.where(not_self, self.wF.take(pos), 0.0)
+            )
+            lat = self._probe_latency(t, tf, hyp)
+            ok = lat <= (self.q0 if self.uthr else self.thrF.take(pos))
         ok &= not_self
         if self.access is not None:
             # The resource graph knows nothing about per-user accessibility:
@@ -819,15 +886,7 @@ class _BatchEngine:
             row_off = self.row_off
             asgF, ld = self.asgF, self.ld
 
-            res_lat = self._res_latencies()
-            if self.uthr:
-                # Uniform threshold: mark bad *resources* once, then one bool
-                # gather — 1/8th the bandwidth of the float gather + compare.
-                res_bad = res_lat > self.q0
-                unsat = np.take(res_bad.reshape(-1), asgF, out=self.unsat_buf[:A])
-            else:
-                usr_lat = np.take(res_lat.reshape(-1), asgF, out=self.usr_buf[:A])
-                unsat = np.greater(usr_lat, self.thresholds, out=self.unsat_buf[:A])
+            unsat = self._unsatisfied(A)
             n_unsat = np.count_nonzero(unsat, axis=1)
 
             # Same liveness contract as the scalar engine: wall-clock

@@ -408,6 +408,7 @@ KERNEL_PROTOCOLS = [
     ),
     ("permit", {}),
     ("neighborhood", {"topology": "ring", "m": M}),
+    ("neighborhood", {"topology": "barabasi-albert", "m": M}),
     (
         "neighborhood",
         {
@@ -419,15 +420,7 @@ KERNEL_PROTOCOLS = [
 ]
 
 
-@pytest.mark.parametrize("gen_name,gen_kwargs", GENERATORS)
-@pytest.mark.parametrize(
-    "proto_name,proto_kwargs", KERNEL_PROTOCOLS, ids=lambda p: str(p)
-)
-@pytest.mark.parametrize("sched_name,sched_kwargs", SCHEDULES)
-def test_kernel_bit_parity_vs_scalar(
-    gen_name, gen_kwargs, proto_name, proto_kwargs, sched_name, sched_kwargs
-):
-    instance = build_instance(gen_name, n=N, m=M, **gen_kwargs)
+def _assert_kernel_parity(instance, proto_name, proto_kwargs, sched_name, sched_kwargs):
     seeds = [21, 22]
     batch = run_batch(
         instance,
@@ -456,6 +449,46 @@ def test_kernel_bit_parity_vs_scalar(
         sr = int(batch.satisfying_rounds[i])
         assert (None if sr < 0 else sr) == ref.satisfying_round
         assert np.array_equal(batch.final_assignment[i], ref.final_state.assignment)
+
+
+@pytest.mark.parametrize("gen_name,gen_kwargs", GENERATORS)
+@pytest.mark.parametrize(
+    "proto_name,proto_kwargs", KERNEL_PROTOCOLS, ids=lambda p: str(p)
+)
+@pytest.mark.parametrize("sched_name,sched_kwargs", SCHEDULES)
+def test_kernel_bit_parity_vs_scalar(
+    gen_name, gen_kwargs, proto_name, proto_kwargs, sched_name, sched_kwargs
+):
+    instance = build_instance(gen_name, n=N, m=M, **gen_kwargs)
+    _assert_kernel_parity(instance, proto_name, proto_kwargs, sched_name, sched_kwargs)
+
+
+#: Heterogeneous thresholds (zipf) and a non-affine profile (M/M/1): the
+#: instances that reach the slack-rate commit bound's per-threshold
+#: capacity row and unsatisfied-user bincount, and the neighborhood
+#: kernel's room verdict on a non-affine profile next to its per-mover path.
+SLACK = {"name": "slack-proportional", "floor": 0.05}
+WIDE_GENERATORS = [
+    ("zipf_thresholds", {"rng": 5}),
+    ("mm1_farm", {"utilisation": 0.7, "rng": 5}),
+]
+WIDE_PROTOCOLS = [
+    ("qos-sampling", {"rate": SLACK}),
+    ("neighborhood", {"topology": "random-regular", "m": M, "rate": SLACK}),
+    ("neighborhood", {"topology": "barabasi-albert", "m": M}),
+]
+
+
+@pytest.mark.parametrize("gen_name,gen_kwargs", WIDE_GENERATORS)
+@pytest.mark.parametrize(
+    "proto_name,proto_kwargs", WIDE_PROTOCOLS, ids=lambda p: str(p)
+)
+@pytest.mark.parametrize("sched_name,sched_kwargs", SCHEDULES)
+def test_kernel_bit_parity_heterogeneous_instances(
+    gen_name, gen_kwargs, proto_name, proto_kwargs, sched_name, sched_kwargs
+):
+    instance = build_instance(gen_name, n=N, m=M, **gen_kwargs)
+    _assert_kernel_parity(instance, proto_name, proto_kwargs, sched_name, sched_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -672,3 +705,119 @@ def test_narrow_dtypes_bit_identical_to_wide(
     assert np.array_equal(batch_w.rounds, batch_n.rounds)
     assert np.array_equal(batch_w.total_moves, batch_n.total_moves)
     assert np.array_equal(batch_w.final_assignment, batch_n.final_assignment)
+
+
+# ---------------------------------------------------------------------------
+# Filter-first slack rate: the per-resource commit bound never undercuts a
+# mover's exact commit probability.
+# ---------------------------------------------------------------------------
+
+
+def _bound_cases():
+    from hypothesis import strategies as st
+
+    from repro.core.latency import (
+        AffineLatency,
+        CapacityLatency,
+        IdentityLatency,
+        MM1Latency,
+        PolynomialLatency,
+        SpeedScaledLatency,
+    )
+
+    latency = st.one_of(
+        st.just(IdentityLatency()),
+        st.floats(0.25, 8.0).map(SpeedScaledLatency),
+        st.tuples(st.floats(0.1, 4.0), st.floats(0.0, 3.0)).map(
+            lambda t: AffineLatency(*t)
+        ),
+        st.tuples(st.floats(0.2, 2.0), st.integers(1, 3)).map(
+            lambda t: PolynomialLatency(coeff=t[0], degree=t[1])
+        ),
+        st.floats(1.5, 20.0).map(MM1Latency),
+        st.integers(0, 10).map(CapacityLatency),
+    )
+
+    @st.composite
+    def case(draw):
+        n, m = draw(st.integers(1, 24)), draw(st.integers(1, 6))
+        if draw(st.booleans()):
+            qs = [draw(st.floats(0.1, 12.0))] * n
+        else:
+            qs = draw(st.lists(st.floats(0.1, 12.0), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            ws = [1.0] * n
+        else:
+            ws = draw(st.lists(st.floats(0.25, 3.0), min_size=n, max_size=n))
+        fs = draw(st.lists(latency, min_size=m, max_size=m))
+        return {
+            "qs": qs,
+            "ws": ws,
+            "fs": fs,
+            "floor": draw(st.floats(1e-3, 1.0)),
+            "alpha": draw(st.sampled_from([1.0, 0.5])),
+            "reps": draw(st.integers(1, 3)),
+            "seed": draw(st.integers(0, 2**16)),
+        }
+
+    return case()
+
+
+def test_slack_commit_bound_dominates_probabilities():
+    """``_commit_bound`` gathered at each mover's own resource is ``>=`` the
+    exact ``_slack_probs`` value, which itself equals the scalar
+    ``SlackProportionalRate.commit_probs``, under sync and alpha schedules,
+    arbitrary loads, thresholds, weights, profiles and floors — targets
+    with no free capacity included."""
+    from hypothesis import HealthCheck, given, settings
+
+    from repro.core.instance import Instance
+    from repro.core.latency import LatencyProfile
+    from repro.core.protocols.rates import SlackProportionalRate
+    from repro.core.protocols.sampling import QoSSamplingProtocol
+    from repro.core.state import State
+    from repro.sim.batch import _BatchEngine
+    from repro.sim.schedule import AlphaSchedule
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(c=_bound_cases())
+    def check(c):
+        instance = Instance(
+            thresholds=np.asarray(c["qs"], dtype=np.float64),
+            latencies=LatencyProfile(c["fs"]),
+            weights=np.asarray(c["ws"], dtype=np.float64),
+        )
+        rate = SlackProportionalRate(floor=c["floor"])
+        rngs = [np.random.default_rng(c["seed"] + k) for k in range(c["reps"])]
+        eng = _BatchEngine(
+            instance,
+            QoSSamplingProtocol(rate=rate),
+            "sampling",
+            AlphaSchedule(c["alpha"]),
+            rngs,
+            10,
+            "random",
+            (),
+        )
+        n, m, A = eng.n, eng.m, eng.R
+        unsat = eng._unsatisfied(A).copy()
+        movers = unsat.copy()
+        if eng.alpha_draws:
+            movers &= rngs[0].random(unsat.shape) < c["alpha"]
+        pos = np.flatnonzero(movers)
+        if pos.size == 0:
+            return
+        contention = eng._contention(unsat, pos, A)
+        t = rngs[0].integers(0, m, size=pos.size)
+        tf = (pos // n) * m + t
+        of = eng.asgF.reshape(-1).take(pos)
+        probs = eng._slack_probs(t, tf, of, pos, contention)
+        ub = eng._commit_bound(contention, A).take(of)
+        assert (ub >= probs).all()
+        for k in range(A):
+            rows = pos // n == k
+            state = State(instance, eng.asgF[k].astype(np.int64) - k * m)
+            want = rate.commit_probs(state, pos[rows] % n, t[rows])
+            assert np.array_equal(probs[rows], want)
+
+    check()

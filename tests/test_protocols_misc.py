@@ -86,6 +86,50 @@ class TestResourceGraph:
         graph = ring_graph(5)
         assert sorted(graph.neighbors_of(0)) == [1, 4]
 
+    @pytest.mark.parametrize(
+        "d", [1, 2, 3, 5, 7, 8, 13, 1000, 2**31 - 1, 3 * 10**9]
+    )
+    def test_scalar_bound_draw_equals_array_bound_draw(self, d):
+        # sample_neighbor on a regular graph relies on NumPy drawing
+        # integers(0, d, size=k) exactly like integers(0, [d] * k): same
+        # values, same stream consumption.  A NumPy change that breaks
+        # this breaks the engines' bit-identity, so fail here first.
+        for seed in range(5):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            scalar = a.integers(0, d, size=200_000)
+            array = b.integers(0, np.full(200_000, d, dtype=np.int64))
+            assert scalar.dtype == array.dtype
+            assert np.array_equal(scalar, array)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @staticmethod
+    def _array_bound_sample(graph, starts, rng):
+        lo = graph.offsets[starts]
+        return graph.neighbors[lo + rng.integers(0, np.diff(graph.offsets)[starts])]
+
+    def test_regular_graph_draw_matches_array_bound_formula(self):
+        from repro.workloads.topology import TOPOLOGIES
+
+        graph = TOPOLOGIES["random-regular"](40, seed=3)
+        assert graph._degree == 4
+        starts = np.random.default_rng(1).integers(0, 40, size=5000)
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        got = graph.sample_neighbor(starts, a)
+        assert np.array_equal(got, self._array_bound_sample(graph, starts, b))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("topology", ["star", "barabasi-albert"])
+    def test_irregular_graph_takes_array_bound_path(self, topology):
+        from repro.workloads.topology import TOPOLOGIES
+
+        graph = TOPOLOGIES[topology](40, seed=3)
+        assert graph._degree is None
+        starts = np.random.default_rng(1).integers(0, 40, size=5000)
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        got = graph.sample_neighbor(starts, a)
+        assert np.array_equal(got, self._array_bound_sample(graph, starts, b))
+        assert a.bit_generator.state == b.bit_generator.state
+
 
 class TestNeighborhoodProtocol:
     def test_targets_are_one_hop(self, rng):
