@@ -257,12 +257,14 @@ def replicate(
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
 
+    from .batch import batch_support
+
     batched = False
     hybrid = False
+    reason: str | None = None
     if backend in ("batched", "hybrid") or (backend == "auto" and n_reps >= 2):
-        from .batch import batch_supported
-
-        if batch_supported(spec):
+        reason = batch_support(spec)
+        if reason is None:
             if backend == "batched":
                 batched = True
             else:
@@ -320,6 +322,8 @@ def replicate(
                         pool.map(run_spec, [spec] * n_reps, seeds, chunksize=chunksize)
                     )
     if _OBS.active:
+        if not (batched or hybrid) and reason is None:
+            reason = batch_support(spec)  # never a batching candidate
         _OBS.count("parallel.replications", n_reps)
         _OBS.event(
             "replicate",
@@ -330,6 +334,8 @@ def replicate(
                 "n_reps": n_reps,
                 "serial": serial,
                 "backend": "hybrid" if hybrid else ("batched" if batched else "serial"),
+                # batch_support's reason; None when the spec has a kernel.
+                "fallback": reason,
                 "statuses": sorted({r.status for r in results}),
             },
         )

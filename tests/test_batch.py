@@ -191,11 +191,14 @@ def test_batch_support_reasons():
             protocol="neighborhood",
             protocol_kwargs={"topology": "ring", "m": 8, "rate": {"name": "slack-proportional"}},
         ),
+        spec(protocol="naive-greedy"),
+        spec(protocol="blind-random", protocol_kwargs={"jump_p": 0.5}),
+        spec(protocol="best-response", protocol_kwargs={"greedy": False, "polite": False}),
     ):
         assert batch_support(kernel_spec) is None, kernel_spec.protocol
         assert batch_supported(kernel_spec), kernel_spec.protocol
     cases = {
-        "protocol": spec(protocol="best-response"),
+        "protocol": spec(protocol="sweep-best-response"),
         "schedule": spec(schedule="partition", schedule_kwargs={"k": 2}),
         "instance": spec(instance_seed_key="per-rep"),
         "resample": spec(protocol_kwargs={"resample_on_self": True}),
@@ -220,7 +223,7 @@ def test_unsupported_spec_falls_back_to_serial():
 def test_run_batch_rejects_unsupported_protocol():
     instance = build_instance("uniform_slack", n=32, m=4, slack=0.4)
     with pytest.raises(ValueError, match="no batched kernel"):
-        run_batch(instance, build_protocol("best-response"), seeds=[1, 2])
+        run_batch(instance, build_protocol("sweep-best-response"), seeds=[1, 2])
 
 
 def test_run_batch_validation():
@@ -233,7 +236,7 @@ def test_run_batch_validation():
     with pytest.raises(ValueError):
         replicate_batched(spec(), 0)
     with pytest.raises(ValueError, match="no batched kernel"):
-        replicate_batched(spec(protocol="best-response"), 2)
+        replicate_batched(spec(protocol="sweep-best-response"), 2)
 
 
 def test_single_rep_batched_matches_serial():
@@ -383,14 +386,26 @@ class TestDegenerateEdges:
 
 
 # ---------------------------------------------------------------------------
-# Kernel coverage: multi-probe, permit and neighborhood match the scalar
-# engine bit for bit on the same grid as the sampling kernel.
+# Kernel coverage: every other kernel matches the scalar engine bit for bit
+# on the same grid as the sampling kernel.
 # ---------------------------------------------------------------------------
 
 
+#: The kernels for the T1 baselines: naive-greedy (the sampling kernel at
+#: p = 1), blind-random and best-response (greedy/uniform x polite/selfish).
+BASELINE_PROTOCOLS = [
+    ("naive-greedy", {}),
+    ("blind-random", {}),
+    ("blind-random", {"jump_p": 0.5}),
+    ("best-response", {}),
+    ("best-response", {"greedy": False}),
+    ("best-response", {"polite": False}),
+    ("best-response", {"greedy": False, "polite": False}),
+]
+
 #: (protocol, kwargs) pairs spanning every new kernel, its tunables and
 #: the rate rules it composes with (permit takes no rate by design).
-KERNEL_PROTOCOLS = [
+KERNEL_PROTOCOLS = BASELINE_PROTOCOLS + [
     ("multi-probe", {"d": 2}),
     ("multi-probe", {"d": 3, "rate": {"name": "slack-proportional", "floor": 0.05}}),
     (
@@ -420,15 +435,24 @@ KERNEL_PROTOCOLS = [
 ]
 
 
-def _assert_kernel_parity(instance, proto_name, proto_kwargs, sched_name, sched_kwargs):
+def _assert_kernel_parity(
+    instance,
+    proto_name,
+    proto_kwargs,
+    sched_name,
+    sched_kwargs,
+    *,
+    max_rounds=MAX_ROUNDS,
+    initial="pile",
+):
     seeds = [21, 22]
     batch = run_batch(
         instance,
         build_protocol(proto_name, **proto_kwargs),
         seeds=[np.random.default_rng(s) for s in seeds],
         schedule=build_schedule(sched_name, **sched_kwargs),
-        max_rounds=MAX_ROUNDS,
-        initial="pile",
+        max_rounds=max_rounds,
+        initial=initial,
     )
     for i, s in enumerate(seeds):
         ref = run(
@@ -436,8 +460,8 @@ def _assert_kernel_parity(instance, proto_name, proto_kwargs, sched_name, sched_
             build_protocol(proto_name, **proto_kwargs),
             seed=np.random.default_rng(s),
             schedule=build_schedule(sched_name, **sched_kwargs),
-            max_rounds=MAX_ROUNDS,
-            initial="pile",
+            max_rounds=max_rounds,
+            initial=initial,
             keep_state=True,
         )
         assert batch.statuses[i] == ref.status
@@ -476,6 +500,9 @@ WIDE_PROTOCOLS = [
     ("qos-sampling", {"rate": SLACK}),
     ("neighborhood", {"topology": "random-regular", "m": M, "rate": SLACK}),
     ("neighborhood", {"topology": "barabasi-albert", "m": M}),
+    ("blind-random", {"jump_p": 0.5}),
+    ("best-response", {}),
+    ("best-response", {"greedy": False, "polite": False}),
 ]
 
 
@@ -489,6 +516,46 @@ def test_kernel_bit_parity_heterogeneous_instances(
 ):
     instance = build_instance(gen_name, n=N, m=M, **gen_kwargs)
     _assert_kernel_parity(instance, proto_name, proto_kwargs, sched_name, sched_kwargs)
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 64, 1000])
+def test_index_permutation_equals_user_permutation(count):
+    # The best-response kernel draws rng.permutation(count) where the
+    # scalar protocol draws rng.permutation(movers): same order as
+    # indices, same stream consumption.  A NumPy change that breaks this
+    # breaks the backends' bit-identity, so fail here first.
+    movers = np.sort(np.random.default_rng(count).choice(5000, count, replace=False))
+    for seed in range(5):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(a.permutation(movers), movers[b.permutation(count)])
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "proto_name,proto_kwargs", BASELINE_PROTOCOLS, ids=lambda p: str(p)
+)
+@pytest.mark.parametrize("sched_name,sched_kwargs", SCHEDULES)
+@pytest.mark.parametrize("initial", ["random", "pile"])
+def test_baseline_kernel_edge_cases(
+    proto_name, proto_kwargs, sched_name, sched_kwargs, initial
+):
+    """A single overloaded resource (nothing is improvable, every blind
+    jump is a self-target) and budgets that end at rounds 0 and 1."""
+    jammed = build_instance("overloaded", n=8, m=1, q=2.0)
+    _assert_kernel_parity(
+        jammed, proto_name, proto_kwargs, sched_name, sched_kwargs, initial=initial
+    )
+    low = build_instance("uniform_slack", n=N, m=M, slack=0.05)
+    for max_rounds in (0, 1):
+        _assert_kernel_parity(
+            low,
+            proto_name,
+            proto_kwargs,
+            sched_name,
+            sched_kwargs,
+            max_rounds=max_rounds,
+            initial=initial,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +587,8 @@ def _event_script(m):
         ("multi-probe", {"d": 2}),
         ("permit", {}),
         ("neighborhood", {"topology": "ring", "m": M}),
+        ("blind-random", {"jump_p": 0.5}),
+        ("best-response", {}),
     ],
     ids=lambda p: str(p),
 )

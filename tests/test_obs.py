@@ -300,6 +300,26 @@ def test_replicate_instrumentation():
     assert "engine.runs" not in HUB.counters
     events = [e for e in HUB.ring if e["type"] == "replicate"]
     assert events and events[-1]["backend"] == "batched"
+    assert events[-1]["fallback"] is None
+
+
+def test_replicate_event_records_fallback_reason():
+    from repro.sim.batch import batch_support
+    from repro.sim.parallel import RunSpec, replicate
+
+    fallback = RunSpec(
+        generator="uniform_slack",
+        generator_kwargs={"n": 32, "m": 4, "slack": 0.3},
+        protocol="sweep-best-response",
+        initial="pile",
+        max_rounds=500,
+    )
+    with HUB.enabled():
+        replicate(fallback, 2, base_seed=0, backend="auto")
+    (event,) = [e for e in HUB.ring if e["type"] == "replicate"]
+    assert event["backend"] == "serial"
+    assert event["fallback"] == batch_support(fallback)
+    assert "sweep-best-response" in event["fallback"]
 
 
 # -- provenance ----------------------------------------------------------------
