@@ -22,35 +22,12 @@ from .common import (
     convergence_stats,
     enumerate_cells,
 )
-from .extensions import f10_cells, f10_multi_probe, f11_fluid_limit, f12_churn
-from .heterogeneity import (
-    f4_cells,
-    f4_hetero_users,
-    f5_cells,
-    f5_hetero_resources,
-    t2_cells,
-    t2_infeasible,
-)
-from .protocols_table import f6_cells, f6_rate_ablation, t1_cells, t1_protocols
-from .robustness import (
-    f7_asynchrony,
-    f7_cells,
-    f8_failures,
-    f9_cells,
-    f9_topology,
-    f13_msg_loss,
-)
-from .scaling import (
-    f1_cells,
-    f1_scaling_n,
-    f2_cells,
-    f2_slack,
-    f3_cells,
-    f3_scaling_m,
-    f14_cells,
-    f14_scaling_huge,
-)
-from .validation import t3_msgsim, t4_cells, t4_drift_and_oblivious, t5_cells, t5_tail
+from .extensions import f10_multi_probe, f11_fluid_limit, f12_churn
+from .heterogeneity import f4_hetero_users, f5_hetero_resources, t2_infeasible
+from .protocols_table import f6_rate_ablation, t1_protocols
+from .robustness import f7_asynchrony, f8_failures, f9_topology, f13_msg_loss
+from .scaling import f1_scaling_n, f2_slack, f3_scaling_m, f14_scaling_huge
+from .validation import t3_msgsim, t4_cells, t4_drift_and_oblivious, t5_tail
 
 __all__ = [
     "ExperimentResult",
@@ -88,13 +65,14 @@ __all__ = [
 class ExperimentDef:
     """An experiment plus its CI and full-scale parameter presets.
 
-    ``cells`` — when set — is the experiment's *cell decomposition*: a
-    function with the runner's signature returning the
-    :class:`~repro.runs.store.CellSpec` list the runner would execute,
-    without simulating anything.  The sweep orchestrator
-    (:mod:`repro.runs`) schedules those cells; experiments whose runners
-    drive simulations directly (F8, F11, F12, F13, T3) leave it ``None``
-    and are not sweepable.
+    ``cells`` — when set — gives the experiment's *cell decomposition*,
+    the :class:`~repro.runs.store.CellSpec` list its runner would
+    execute, without simulating anything.  ``True`` dry-runs the runner
+    itself through :func:`enumerate_cells`; a function with the runner's
+    signature returns the list directly (T4, whose decomposition covers
+    only part (b)).  The sweep orchestrator (:mod:`repro.runs`) schedules
+    those cells; experiments whose runners drive simulations directly
+    (F8, F11, F12, F13, T3) leave it ``None`` and are not sweepable.
     """
 
     experiment_id: str
@@ -102,7 +80,7 @@ class ExperimentDef:
     description: str
     ci: dict[str, Any] = field(default_factory=dict)
     full: dict[str, Any] = field(default_factory=dict)
-    cells: Callable[..., list] | None = None
+    cells: Callable[..., list] | bool | None = None
 
     def _preset(self, scale: str, overrides: dict[str, Any]) -> dict[str, Any]:
         if scale not in ("ci", "full"):
@@ -124,9 +102,11 @@ class ExperimentDef:
                 "(its runner drives simulations directly)"
             )
         kwargs = self._preset(scale, overrides)
-        return [
-            replace(c, experiment_id=self.experiment_id) for c in self.cells(**kwargs)
-        ]
+        if self.cells is True:
+            cells = enumerate_cells(self.fn, **kwargs)
+        else:
+            cells = self.cells(**kwargs)
+        return [replace(c, experiment_id=self.experiment_id) for c in cells]
 
 
 EXPERIMENTS: dict[str, ExperimentDef] = {
@@ -136,7 +116,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "convergence rounds vs n (log growth)",
         ci={"ns": (250, 500, 1000, 2000, 4000), "n_reps": 7},
         full={"ns": (250, 500, 1000, 2000, 4000, 8000, 16000, 32000), "n_reps": 25},
-        cells=f1_cells,
+        cells=True,
     ),
     "F2": ExperimentDef(
         "F2",
@@ -144,7 +124,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "convergence rounds vs slack (tight is hard)",
         ci={"n": 1024, "m": 32, "n_reps": 7},
         full={"n": 8192, "m": 256, "n_reps": 25},
-        cells=f2_cells,
+        cells=True,
     ),
     "F3": ExperimentDef(
         "F3",
@@ -152,7 +132,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "convergence rounds vs m at fixed load factor",
         ci={"ms": (8, 16, 32, 64), "n_reps": 7},
         full={"ms": (8, 16, 32, 64, 128, 256, 512), "n_reps": 25},
-        cells=f3_cells,
+        cells=True,
     ),
     "F4": ExperimentDef(
         "F4",
@@ -160,7 +140,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "heterogeneous threshold profiles",
         ci={"n": 1024, "m": 32, "n_reps": 5, "max_rounds": 20_000},
         full={"n": 8192, "m": 256, "n_reps": 20},
-        cells=f4_cells,
+        cells=True,
     ),
     "F5": ExperimentDef(
         "F5",
@@ -168,7 +148,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "heterogeneous resources (speeds, convex, M/M/1)",
         ci={"n": 1024, "m": 32, "n_reps": 5, "max_rounds": 20_000},
         full={"n": 8192, "m": 256, "n_reps": 20},
-        cells=f5_cells,
+        cells=True,
     ),
     "F6": ExperimentDef(
         "F6",
@@ -176,7 +156,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "migration-rate rule ablation (U-shape)",
         ci={"ps": (0.125, 0.5, 1.0), "n": 1024, "m": 32, "n_reps": 7},
         full={"n": 8192, "m": 256, "n_reps": 25},
-        cells=f6_cells,
+        cells=True,
     ),
     "F7": ExperimentDef(
         "F7",
@@ -184,7 +164,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "activation schedules (1/alpha slowdown)",
         ci={"alphas": (1.0, 0.25), "partitions": (4,), "n": 1024, "m": 32, "n_reps": 7},
         full={"n": 8192, "m": 256, "n_reps": 25},
-        cells=f7_cells,
+        cells=True,
     ),
     "F8": ExperimentDef(
         "F8",
@@ -205,7 +185,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             "max_rounds": 50_000,
         },
         full={"n": 4096, "m": 64, "n_reps": 20},
-        cells=f9_cells,
+        cells=True,
     ),
     "F10": ExperimentDef(
         "F10",
@@ -213,7 +193,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "power of d choices: probes vs rounds vs messages (extension)",
         ci={"ds": (1, 2, 4), "n": 1024, "m": 32, "n_reps": 7},
         full={"n": 8192, "m": 256, "n_reps": 25},
-        cells=f10_cells,
+        cells=True,
     ),
     "F11": ExperimentDef(
         "F11",
@@ -242,7 +222,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "protocol comparison table",
         ci={"n": 1024, "m": 32, "n_reps": 5, "max_rounds": 5_000},
         full={"n": 8192, "m": 256, "n_reps": 20},
-        cells=t1_cells,
+        cells=True,
     ),
     "T2": ExperimentDef(
         "T2",
@@ -250,7 +230,9 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "infeasible instances vs OPT_sat",
         ci={"overload_factors": (1.25, 2.0), "m": 16, "q": 8, "n_reps": 5},
         full={"m": 64, "q": 16, "n_reps": 20},
-        cells=t2_cells,
+        # Enumeration builds each overloaded instance and solves its
+        # OPT_sat exactly — milliseconds per instance, still no simulation.
+        cells=True,
     ),
     "T3": ExperimentDef(
         "T3",
@@ -265,7 +247,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "huge-n scaling law: rounds vs n across 10^3..10^6 (one replication per decade point)",
         ci={"ns": (1_000, 4_000, 16_000), "n_reps": 3},
         full={"ns": (1_000, 10_000, 100_000, 1_000_000), "n_reps": 5},
-        cells=f14_cells,
+        cells=True,
     ),
     "T5": ExperimentDef(
         "T5",
@@ -273,7 +255,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "convergence-time distribution: w.h.p. bound + geometric tail",
         ci={"slacks": (0.25,), "n": 512, "m": 16, "n_reps": 250, "delta": 0.1},
         full={"n_reps": 2000, "delta": 0.05},
-        cells=t5_cells,
+        cells=True,
     ),
     "T4": ExperimentDef(
         "T4",

@@ -72,8 +72,8 @@ def cell_spec(
 
     Same signature as :func:`cell` (``workers`` and ``backend`` are
     accepted and ignored — they are execution knobs, not part of the
-    cell's identity), so runners and their ``*_cells`` decompositions
-    share one source of truth.
+    cell's identity), so runners and explicit cell decompositions (T4's
+    ``t4_cells``) share one source of truth.
     """
     del workers, backend  # execution hints; never part of the cell identity
     spec = RunSpec(

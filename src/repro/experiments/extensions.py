@@ -23,9 +23,9 @@ from ..registry import build_instance, build_protocol
 from ..sim.engine import run as run_engine
 from ..sim.metrics import Recorder
 from ..sim.rng import seed_from_key
-from .common import ExperimentResult, cell, convergence_stats, enumerate_cells
+from .common import ExperimentResult, cell, convergence_stats
 
-__all__ = ["f10_multi_probe", "f11_fluid_limit", "f12_churn", "f10_cells"]
+__all__ = ["f10_multi_probe", "f11_fluid_limit", "f12_churn"]
 
 
 def f10_multi_probe(
@@ -284,8 +284,3 @@ def f12_churn(
         findings=findings,
         extra={"stats": stats},
     )
-
-
-def f10_cells(**params):
-    """Cell decomposition of :func:`f10_multi_probe` (nothing simulates)."""
-    return enumerate_cells(f10_multi_probe, **params)

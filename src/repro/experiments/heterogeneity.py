@@ -8,15 +8,12 @@ import numpy as np
 
 from ..baselines.centralized import opt_satisfied
 from ..registry import build_instance
-from .common import ExperimentResult, cell, convergence_stats, enumerate_cells
+from .common import ExperimentResult, cell, convergence_stats
 
 __all__ = [
     "f4_hetero_users",
-    "f4_cells",
     "f5_hetero_resources",
-    "f5_cells",
     "t2_infeasible",
-    "t2_cells",
 ]
 
 
@@ -321,22 +318,3 @@ def t2_infeasible(
         findings=findings,
         extra={"stats": stats_map, "opt": opt_map},
     )
-
-
-def f4_cells(**params):
-    """Cell decomposition of :func:`f4_hetero_users` (nothing simulates)."""
-    return enumerate_cells(f4_hetero_users, **params)
-
-
-def f5_cells(**params):
-    """Cell decomposition of :func:`f5_hetero_resources` (nothing simulates)."""
-    return enumerate_cells(f5_hetero_resources, **params)
-
-
-def t2_cells(**params):
-    """Cell decomposition of :func:`t2_infeasible`.
-
-    No cell simulates, but the enumeration does build each overloaded
-    instance and solves its OPT_sat exactly — milliseconds per instance.
-    """
-    return enumerate_cells(t2_infeasible, **params)

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .common import ExperimentResult, cell, convergence_stats, enumerate_cells
+from .common import ExperimentResult, cell, convergence_stats
 
-__all__ = ["t1_protocols", "f6_rate_ablation", "DEFAULT_PROTOCOLS", "t1_cells", "f6_cells"]
+__all__ = ["t1_protocols", "f6_rate_ablation", "DEFAULT_PROTOCOLS"]
 
 #: (label, protocol name, protocol kwargs) rows of the T1 table.
 DEFAULT_PROTOCOLS: list[tuple[str, str, dict]] = [
@@ -177,13 +177,3 @@ def f6_rate_ablation(
         findings=findings,
         extra={"medians": medians},
     )
-
-
-def t1_cells(**params):
-    """Cell decomposition of :func:`t1_protocols` (nothing simulates)."""
-    return enumerate_cells(t1_protocols, **params)
-
-
-def f6_cells(**params):
-    """Cell decomposition of :func:`f6_rate_ablation` (nothing simulates)."""
-    return enumerate_cells(f6_rate_ablation, **params)

@@ -13,9 +13,9 @@ from ..registry import build_instance, build_protocol
 from ..sim.engine import run
 from ..sim.events import ResourceFailure
 from ..analysis.stats import summarize
-from .common import ExperimentResult, cell, convergence_stats, enumerate_cells
+from .common import ExperimentResult, cell, convergence_stats
 
-__all__ = ["f7_asynchrony", "f8_failures", "f9_topology", "f13_msg_loss", "f7_cells", "f9_cells"]
+__all__ = ["f7_asynchrony", "f8_failures", "f9_topology", "f13_msg_loss"]
 
 
 def f7_asynchrony(
@@ -363,13 +363,3 @@ def f13_msg_loss(
             "medians": medians,
         },
     )
-
-
-def f7_cells(**params):
-    """Cell decomposition of :func:`f7_asynchrony` (nothing simulates)."""
-    return enumerate_cells(f7_asynchrony, **params)
-
-
-def f9_cells(**params):
-    """Cell decomposition of :func:`f9_topology` (nothing simulates)."""
-    return enumerate_cells(f9_topology, **params)

@@ -12,17 +12,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..analysis.scaling import classify_growth
-from .common import ExperimentResult, cell, convergence_stats, enumerate_cells
+from .common import ExperimentResult, cell, convergence_stats
 
 __all__ = [
     "f1_scaling_n",
-    "f1_cells",
     "f2_slack",
-    "f2_cells",
     "f3_scaling_m",
-    "f3_cells",
     "f14_scaling_huge",
-    "f14_cells",
 ]
 
 
@@ -226,7 +222,7 @@ def f14_scaling_huge(
     adversarial pile start should stay logarithmic in ``n`` across three
     decades, into the million-user regime the dtype/memory audit makes
     simulable in one replication.  Runs through the sweep orchestrator
-    like every cell-based experiment (``f14_cells``), so a full-scale
+    like every cell-based experiment (``sweep F14``), so a full-scale
     sweep is resumable and its largest cells are cached individually.
     ``max_rounds`` is a guardrail, not a horizon — pile starts satisfy in
     tens of rounds at these sizes.
@@ -280,23 +276,3 @@ def f14_scaling_huge(
         findings=findings,
         extra={"medians": medians, "ns": list(ns), "verdict": verdict},
     )
-
-
-def f1_cells(**params):
-    """Cell decomposition of :func:`f1_scaling_n` (nothing simulates)."""
-    return enumerate_cells(f1_scaling_n, **params)
-
-
-def f2_cells(**params):
-    """Cell decomposition of :func:`f2_slack` (nothing simulates)."""
-    return enumerate_cells(f2_slack, **params)
-
-
-def f3_cells(**params):
-    """Cell decomposition of :func:`f3_scaling_m` (nothing simulates)."""
-    return enumerate_cells(f3_scaling_m, **params)
-
-
-def f14_cells(**params):
-    """Cell decomposition of :func:`f14_scaling_huge` (nothing simulates)."""
-    return enumerate_cells(f14_scaling_huge, **params)

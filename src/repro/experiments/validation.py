@@ -14,9 +14,9 @@ from ..core.potential import overload_potential, unsatisfied_count
 from ..msgsim.runner import run_message_sim
 from ..registry import build_instance, build_protocol
 from ..sim.engine import run
-from .common import ExperimentResult, cell, cell_spec, convergence_stats, enumerate_cells
+from .common import ExperimentResult, cell, cell_spec, convergence_stats
 
-__all__ = ["t3_msgsim", "t4_drift_and_oblivious", "t4_cells", "t5_tail", "t5_cells"]
+__all__ = ["t3_msgsim", "t4_drift_and_oblivious", "t4_cells", "t5_tail"]
 
 
 def t3_msgsim(
@@ -375,8 +375,3 @@ def t5_tail(
         findings=findings,
         extra={"tails": tails},
     )
-
-
-def t5_cells(**params):
-    """Cell decomposition of :func:`t5_tail` (nothing simulates)."""
-    return enumerate_cells(t5_tail, **params)

@@ -7,7 +7,7 @@ cells) and a provenance stamp; each later line records one cell state
 transition:
 
 - ``scheduled`` — the cell is part of this sweep;
-- ``started``   — handed to the executor (re-appended per retry attempt);
+- ``started``   — leased to an executor (re-appended per attempt);
 - ``finished``  — results are in the store (``cached: true`` when served
   from a previous sweep without executing);
 - ``failed``    — retries exhausted; the sweep completed without it.

@@ -1,7 +1,8 @@
-"""Distributed sweep backend: coordinator/worker network scheduler.
+"""Distributed sweep backend: coordinator/worker network transport.
 
-The single-machine scheduler (:mod:`repro.runs.scheduler`) fans cells
-over a process pool; this module fans them over *machines*.  One
+The sweep's lease state machine (:mod:`repro.runs.scheduler`) is one
+object; :func:`~repro.runs.scheduler.run_cells` drives it with a local
+process pool, and this module drives it over *machines*.  One
 **coordinator** owns the sweep directory — journal, content-addressed
 store, cell queue — and serves the line-framed ``runs-net/v1`` protocol
 (:mod:`repro.runs.protocol`) over TCP.  Any number of **workers**
@@ -11,24 +12,22 @@ execute_cell`, stream heartbeats, and ship the ``runs-cell/v1`` payload
 (plus the cell's ``obs-events/v1`` file) back for the coordinator to
 commit.  Because payloads are a pure function of the cell description,
 a sweep sharded over N workers produces a store bit-identical — modulo
-provenance/telemetry — to the single-machine scheduler, and identical
-re-sweeps are 100% cache hits regardless of where cells ran.
+provenance/telemetry — to a local sweep, and identical re-sweeps are
+100% cache hits regardless of where cells ran.
 
-Robustness model (the same policies the local scheduler already has,
-lifted onto the network):
+What the network adds to the shared state machine:
 
 - **leases, not assignments** — a granted cell carries a deadline;
   heartbeats extend it.  A worker that stops heartbeating (SIGSTOP,
   network partition) loses the lease to the reaper; a worker whose
   socket dies (SIGKILL, crash) loses it immediately on EOF.  Either way
-  the cell is re-queued under the existing retry/backoff accounting and
-  journalled ``lease_expired`` — retries exhausted means ``failed``, and
-  the sweep *completes* without it.
-- **idempotent commit** — results are committed at most once per key: a
-  late delivery from an expired lease still counts if nobody beat it,
-  and a duplicate (the re-queued copy also finished) is acked without a
-  second store write or journal record, so "each cell executed exactly
-  once" holds at the journal level.
+  the lease consumes one attempt, exactly like a dead local pool worker,
+  and an expiry is journalled ``lease_expired``.
+- **late deliveries** — commit is idempotent per key, so a result from
+  an expired lease still counts if nobody beat it, and a duplicate (the
+  re-queued copy also finished) is acked without a second store write
+  or journal record: "each cell executed exactly once" holds at the
+  journal level.
 - **crash-safe coordination** — lease grants/expiries are journalled as
   informational records (unknown types are skipped by the journal fold),
   so a coordinator crash costs at most in-flight leases: re-serving (or
@@ -52,9 +51,8 @@ import socketserver
 import tempfile
 import threading
 import time
-from collections import deque
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .journal import Journal
 from .protocol import (
@@ -65,8 +63,9 @@ from .protocol import (
     recv_frame,
     send_frame,
 )
-from .scheduler import DEFAULT_RETRIES, DEFAULT_TIMEOUT, backoff_delay, execute_cell
-from .store import CellSpec, ResultStore, cell_key
+from .scheduler import DEFAULT_RETRIES, DEFAULT_TIMEOUT, _SweepState, execute_cell
+from .store import CellSpec, ResultStore
+from .sweep import _sweep_in_dir
 
 __all__ = [
     "DEFAULT_LEASE_TTL_S",
@@ -98,73 +97,21 @@ def parse_address(value: Any, *, default_host: str = "127.0.0.1") -> tuple[str, 
     return (host or default_host), int(port)
 
 
-class _SweepState:
-    """Lease table + completion accounting; every public method locks.
+class _NetState(_SweepState):
+    """The sweep's lease state machine plus what only the network needs:
+    lease deadlines, the worker table behind ``workers.json`` and the
+    bad-frame count."""
 
-    The journal handle is only ever touched under the lock, which makes
-    the single-writer append contract hold across handler threads.
-    """
-
-    def __init__(
-        self,
-        cells_by_key: dict[str, CellSpec],
-        order: list[str],
-        *,
-        store: ResultStore,
-        journal: Journal | None,
-        retries: int,
-        lease_ttl_s: float,
-        force: bool = False,
-    ):
-        self.lock = threading.Lock()
-        self.cells = cells_by_key
-        self.store = store
-        self.journal = journal
-        self.retries = int(retries)
+    def __init__(self, cells: Iterable[CellSpec], *, lease_ttl_s: float, **kwargs: Any):
+        super().__init__(cells, **kwargs)
         self.lease_ttl_s = float(lease_ttl_s)
-        self.pending: deque[str] = deque()
-        self.attempts: dict[str, int] = {}
-        self.leases: dict[str, dict[str, Any]] = {}
-        self.done: dict[str, str] = {}  # key -> "cached" | "run"
-        self.failed: dict[str, str] = {}  # key -> error
-        self.failures: list[dict[str, Any]] = []
         self.workers: dict[str, dict[str, Any]] = {}
         self.lease_expiries = 0
         self.bad_frames = 0
-        self._next_worker = 1
-        self.dirty = True  # workers.json wants a rewrite
-        # Cache-first, identical to run_cells: finished cells are
-        # journalled without executing; the rest queue in the given
-        # (longest-expected-first) order.
-        for key in order:
-            self._journal("scheduled", key, n_reps=cells_by_key[key].n_reps)
-        for key in order:
-            if not force and store.has(key):
-                self.done[key] = "cached"
-                self._journal("finished", key, cached=True)
-            else:
-                self.pending.append(key)
-
-    # -- journal (callers hold the lock, or call before threads exist) ---------
-
-    def _journal(self, record_type: str, key: str, **fields: Any) -> None:
-        if self.journal is None:
-            return
-        cell = self.cells[key]
-        self.journal.append(
-            record_type,
-            key=key,
-            experiment_id=cell.experiment_id,
-            label=cell.spec.label,
-            **fields,
-        )
-
-    # -- worker lifecycle ------------------------------------------------------
 
     def register(self, host: str, pid: int) -> str:
         with self.lock:
-            worker_id = f"w{self._next_worker}"
-            self._next_worker += 1
+            worker_id = f"w{len(self.workers) + 1}"
             now = time.time()
             self.workers[worker_id] = {
                 "id": worker_id,
@@ -172,77 +119,37 @@ class _SweepState:
                 "pid": int(pid),
                 "connected_unix": now,
                 "last_seen": now,
-                "leased": None,
                 "cells_done": 0,
                 "alive": True,
             }
             if self.journal is not None:
                 self.journal.append("worker", worker=worker_id, host=str(host), pid=int(pid))
-            self.dirty = True
             return worker_id
 
-    def release_worker(self, worker_id: str, reason: str) -> None:
-        """Connection gone: the worker's lease (if any) re-queues *now* —
-        a SIGKILLed worker is detected at EOF, not at lease expiry."""
+    def seen(self, worker_id: str) -> None:
         with self.lock:
-            info = self.workers.get(worker_id)
-            if info is not None:
-                info["alive"] = False
-                info["leased"] = None
-            for key in [k for k, l in self.leases.items() if l["worker"] == worker_id]:
-                self.leases.pop(key)
-                self._requeue_locked(key, f"worker {worker_id} {reason}")
-            self.dirty = True
+            self.workers[worker_id]["last_seen"] = time.time()
 
-    # -- the lease lifecycle ---------------------------------------------------
-
-    def next_lease(self, worker_id: str) -> dict[str, Any]:
+    def lease(self, worker: str | None = None) -> dict[str, Any] | None:
         with self.lock:
-            now = time.time()
-            info = self.workers.get(worker_id)
-            if info is not None:
-                info["last_seen"] = now
-            if self._complete_locked():
-                return {"type": "done"}
-            if not self.pending:
-                return {"type": "wait", "pending": 0, "leased": len(self.leases)}
-            key = self.pending.popleft()
-            attempt = self.attempts.get(key, 0)
-            self.leases[key] = {
-                "key": key,
-                "worker": worker_id,
-                "deadline": now + self.lease_ttl_s,
-                "attempt": attempt,
-                "granted_unix": now,
-            }
-            if info is not None:
-                info["leased"] = key
-            self._journal("started", key, attempt=attempt, worker=worker_id)
-            self._journal("lease", key, worker=worker_id, attempt=attempt, ttl_s=self.lease_ttl_s)
-            self.dirty = True
-            return {
-                "type": "lease",
-                "key": key,
-                "cell": cell_to_wire(self.cells[key]),
-                "attempt": attempt,
-                "delay_s": backoff_delay(attempt - 1) if attempt else 0.0,
-                "lease_ttl_s": self.lease_ttl_s,
-            }
+            lease = super().lease(worker)
+            if lease is not None:
+                lease["deadline"] = lease["granted_unix"] + self.lease_ttl_s
+                self._journal(
+                    "lease", lease["key"], worker, attempt=lease["attempt"], ttl_s=self.lease_ttl_s
+                )
+            return lease
 
-    def heartbeat(self, worker_id: str, key: str | None) -> dict[str, Any]:
+    def heartbeat(self, worker_id: str, key: Any) -> bool:
+        """Extend ``worker_id``'s lease on ``key``; False once it is lost."""
         with self.lock:
-            now = time.time()
-            info = self.workers.get(worker_id)
-            if info is not None:
-                info["last_seen"] = now
-            self.dirty = True
-            lease = self.leases.get(key) if key is not None else None
+            lease = self.leases.get(key)
             if lease is None or lease["worker"] != worker_id:
-                return {"type": "expired", "key": key}
-            lease["deadline"] = now + self.lease_ttl_s
-            return {"type": "ack", "key": key}
+                return False
+            lease["deadline"] = time.time() + self.lease_ttl_s
+            return True
 
-    def open_for_commit(self, key: str | None) -> bool:
+    def open_for_commit(self, key: Any) -> bool:
         """True while ``key`` is a known cell that has not yet finished.
 
         Lets the handler land side-effects (the shipped events file)
@@ -252,131 +159,39 @@ class _SweepState:
         with self.lock:
             return key in self.cells and key not in self.done and key not in self.failed
 
-    def commit(self, worker_id: str, key: str | None, payload: Any) -> dict[str, Any]:
+    def commit(self, key: Any, payload: Any, worker: str | None = None) -> dict[str, Any]:
         with self.lock:
-            if key not in self.cells:
-                return {"type": "error", "error": f"unknown cell {key!r}"}
-            if key in self.done or key in self.failed:
-                # Duplicate delivery (an expired lease re-ran elsewhere, or
-                # a resend): idempotent — ack without store/journal writes.
-                self._clear_lease_locked(worker_id, key)
-                return {"type": "ack", "committed": False, "duplicate": True}
-            if not isinstance(payload, dict) or payload.get("key") != key:
-                return {"type": "error", "error": f"payload does not match leased cell {key}"}
-            try:
-                self.store.put(payload)
-            except ValueError as exc:
-                return {"type": "error", "error": str(exc)}
-            self._journal(
-                "finished",
-                key,
-                cached=False,
-                seconds=float(payload.get("duration_s") or 0.0),
-                worker=worker_id,
-            )
-            self.done[key] = "run"
-            self._clear_lease_locked(worker_id, key)
-            info = self.workers.get(worker_id)
-            if info is not None:
-                info["cells_done"] += 1
-                info["last_seen"] = time.time()
-            self.dirty = True
-            return {"type": "ack", "committed": True, "duplicate": False}
+            reply = super().commit(key, payload, worker)
+            if reply.get("committed"):
+                self.workers[worker]["cells_done"] += 1
+            return reply
 
-    def fail(self, worker_id: str, key: str | None, error: str) -> dict[str, Any]:
+    def release_worker(self, worker: str | None, error: str) -> list[str]:
+        """Connection gone: the worker's leases re-queue *now* — a
+        SIGKILLed worker is detected at EOF, not at lease expiry."""
         with self.lock:
-            if key not in self.cells:
-                return {"type": "error", "error": f"unknown cell {key!r}"}
-            self._clear_lease_locked(worker_id, key)
-            if key in self.done or key in self.failed:
-                return {"type": "ack", "requeued": False, "duplicate": True}
-            requeued = self._requeue_locked(key, error)
-            self.dirty = True
-            return {"type": "ack", "requeued": requeued}
+            self.workers[worker]["alive"] = False
+            return super().release_worker(worker, error)
 
     def reap(self, now: float | None = None) -> list[str]:
         """Expire overdue leases; returns the reclaimed keys."""
         now = time.time() if now is None else now
         with self.lock:
-            expired = [k for k, l in self.leases.items() if l["deadline"] < now]
+            expired = [k for k, lease in self.leases.items() if lease["deadline"] < now]
             for key in expired:
                 lease = self.leases.pop(key)
                 self.lease_expiries += 1
-                self._journal(
-                    "lease_expired", key, worker=lease["worker"], attempt=lease["attempt"]
-                )
-                info = self.workers.get(lease["worker"])
-                if info is not None and info.get("leased") == key:
-                    info["leased"] = None
-                self._requeue_locked(
-                    key, f"lease expired after {self.lease_ttl_s:g}s without heartbeat"
-                )
-            if expired:
-                self.dirty = True
+                self._journal("lease_expired", key, lease["worker"], attempt=lease["attempt"])
+                self._requeue(key, f"lease expired after {self.lease_ttl_s:g}s without heartbeat")
             return expired
-
-    def _clear_lease_locked(self, worker_id: str, key: str | None) -> None:
-        lease = self.leases.get(key) if key is not None else None
-        if lease is not None:
-            self.leases.pop(key)
-        info = self.workers.get(worker_id)
-        if info is not None and info.get("leased") == key:
-            info["leased"] = None
-
-    def _requeue_locked(self, key: str, error: str) -> bool:
-        """One attempt consumed; re-queue or fail per the retry policy."""
-        attempts = self.attempts.get(key, 0) + 1
-        self.attempts[key] = attempts
-        if attempts <= self.retries:
-            self.pending.append(key)
-            return True
-        self._journal("failed", key, error=error, attempts=attempts)
-        self.failed[key] = error
-        cell = self.cells[key]
-        self.failures.append(
-            {
-                "key": key,
-                "experiment_id": cell.experiment_id,
-                "label": cell.spec.label,
-                "error": error,
-                "attempts": attempts,
-            }
-        )
-        return False
 
     def note_bad_frame(self) -> None:
         with self.lock:
             self.bad_frames += 1
 
-    # -- completion + reporting ------------------------------------------------
-
-    def _complete_locked(self) -> bool:
-        return len(self.done) + len(self.failed) == len(self.cells)
-
-    def complete(self) -> bool:
-        with self.lock:
-            return self._complete_locked()
-
-    def summary(self, wall_s: float) -> dict[str, Any]:
-        """The run_cells-shaped summary, plus network counters."""
-        with self.lock:
-            cached = sum(1 for v in self.done.values() if v == "cached")
-            return {
-                "cells": len(self.cells),
-                "cached": cached,
-                "run": len(self.done) - cached,
-                "failed": len(self.failures),
-                "deferred": 0,
-                "failures": list(self.failures),
-                "wall_s": wall_s,
-                "workers": len(self.workers),
-                "lease_expiries": self.lease_expiries,
-                "bad_frames": self.bad_frames,
-            }
-
     def workers_payload(self) -> dict[str, Any]:
         with self.lock:
-            self.dirty = False
+            leased = {lease["worker"]: key for key, lease in self.leases.items()}
             return {
                 "schema": WORKERS_SCHEMA,
                 "t": time.time(),
@@ -384,23 +199,16 @@ class _SweepState:
                 "pending": len(self.pending),
                 "leases": [
                     {
-                        "key": l["key"],
-                        "worker": l["worker"],
-                        "attempt": l["attempt"],
-                        "deadline": l["deadline"],
-                        "label": self.cells[l["key"]].spec.label,
+                        "key": lease["key"],
+                        "worker": lease["worker"],
+                        "attempt": lease["attempt"],
+                        "deadline": lease["deadline"],
+                        "label": self.cells[lease["key"]].spec.label,
                     }
-                    for l in self.leases.values()
+                    for lease in self.leases.values()
                 ],
                 "workers": [
-                    {
-                        k: w[k]
-                        for k in (
-                            "id", "host", "pid", "connected_unix",
-                            "last_seen", "leased", "cells_done", "alive",
-                        )
-                    }
-                    for w in self.workers.values()
+                    {**info, "leased": leased.get(info["id"])} for info in self.workers.values()
                 ],
             }
 
@@ -435,7 +243,7 @@ class _Handler(socketserver.StreamRequestHandler):
             if close:
                 break
         if worker_id is not None:
-            coordinator.state.release_worker(worker_id, "disconnected")
+            coordinator.state.release_worker(worker_id, f"worker {worker_id} disconnected")
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -465,13 +273,6 @@ class Coordinator:
         events: bool = True,
         force: bool = False,
     ):
-        if isinstance(cells, dict):
-            by_key = dict(cells)
-        else:
-            by_key = {}
-            for cell in cells:
-                by_key.setdefault(cell_key(cell), cell)
-        order = sorted(by_key, key=lambda k: -(store.duration(k) or float("inf")))
         self.timeout = timeout
         self.backend = backend
         self.out_dir = Path(out_dir) if out_dir is not None else None
@@ -479,9 +280,8 @@ class Coordinator:
         if events and self.out_dir is not None:
             self.events_dir = self.out_dir / "events"
             self.events_dir.mkdir(parents=True, exist_ok=True)
-        self.state = _SweepState(
-            by_key,
-            order,
+        self.state = _NetState(
+            cells.values() if isinstance(cells, dict) else cells,
             store=store,
             journal=journal,
             retries=retries,
@@ -537,10 +337,29 @@ class Coordinator:
             )
         if worker_id is None:
             return {"type": "error", "error": "register first"}, False
+        self.state.seen(worker_id)
         if mtype == "lease":
-            return self.state.next_lease(worker_id), False
+            lease = self.state.lease(worker_id)
+            if lease is None:
+                if self.state.complete():
+                    return {"type": "done"}, False
+                return {"type": "wait", "pending": 0, "leased": len(self.state.leases)}, False
+            key = lease["key"]
+            return (
+                {
+                    "type": "lease",
+                    "key": key,
+                    "cell": cell_to_wire(self.state.cells[key]),
+                    "attempt": lease["attempt"],
+                    "delay_s": lease["delay_s"],
+                    "lease_ttl_s": self.state.lease_ttl_s,
+                },
+                False,
+            )
         if mtype == "heartbeat":
-            return self.state.heartbeat(worker_id, message.get("key")), False
+            key = message.get("key")
+            alive = self.state.heartbeat(worker_id, key)
+            return {"type": "ack" if alive else "expired", "key": key}, False
         if mtype == "result":
             key = message.get("key")
             events_text = message.get("events")
@@ -556,12 +375,9 @@ class Coordinator:
                 from ..obs.aggregate import write_cell_events
 
                 write_cell_events(self.events_dir, key, str(events_text))
-            return self.state.commit(worker_id, key, message.get("payload")), False
+            return self.state.commit(key, message.get("payload"), worker_id), False
         if mtype == "failed":
-            return (
-                self.state.fail(worker_id, message.get("key"), str(message.get("error"))),
-                False,
-            )
+            return self.state.fail(message.get("key"), str(message.get("error"))), False
         if mtype == "bye":
             return {"type": "ack"}, True
         return {"type": "error", "error": f"unknown message type {mtype!r}"}, False
@@ -583,17 +399,25 @@ class Coordinator:
         return str(addr[0]), int(addr[1])
 
     def wait(self, poll: float = 0.2, deadline_s: float | None = None) -> dict[str, Any]:
-        """Reap leases and refresh ``workers.json`` until the sweep completes."""
-        while True:
-            self.state.reap()
-            self._flush_workers_file()
-            if self.state.complete():
-                break
+        """Reap leases and refresh ``workers.json`` until the sweep completes.
+
+        Returns the :func:`~repro.runs.scheduler.run_cells` summary plus
+        the network counters.
+        """
+        while not self.state.complete():
             if deadline_s is not None and time.perf_counter() - self._started > deadline_s:
                 raise TimeoutError(f"sweep incomplete after {deadline_s:g}s")
+            self.state.reap()
+            self._flush_workers_file()
             time.sleep(poll)
-        self._flush_workers_file(final=True)
-        return self.state.summary(time.perf_counter() - self._started)
+        self._flush_workers_file()
+        summary = self.state.summary(time.perf_counter() - self._started)
+        summary.update(
+            workers=len(self.state.workers),
+            lease_expiries=self.state.lease_expiries,
+            bad_frames=self.state.bad_frames,
+        )
+        return summary
 
     def stop(self) -> None:
         if self._server is not None:
@@ -601,8 +425,8 @@ class Coordinator:
             self._server.server_close()
             self._server = None
 
-    def _flush_workers_file(self, final: bool = False) -> None:
-        if self.out_dir is None or not (self.state.dirty or final):
+    def _flush_workers_file(self) -> None:
+        if self.out_dir is None:
             return
         payload = self.state.workers_payload()
         path = self.out_dir / WORKERS_NAME
@@ -651,32 +475,13 @@ def serve_sweep(
     served here can equally be finished locally with ``sweep --resume``
     (the journalled config carries ``workers: 0``).
     """
-    from ..obs.aggregate import merge_events
-    from .sweep import _normalise_overrides, enumerate_sweep, sweepable_experiments
 
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids = [e.upper() for e in experiment_ids] if experiment_ids else sweepable_experiments()
-    overrides = _normalise_overrides(overrides)
-    config = {
-        "experiments": ids,
-        "scale": scale,
-        "overrides": overrides,
-        "workers": 0,  # a plain --resume of this dir runs locally
-        "backend": backend,
-        "events": bool(events),
-        "profile": False,
-        "serve": {"lease_ttl_s": float(lease_ttl_s), "retries": int(retries)},
-    }
-    cells = enumerate_sweep(ids, scale, overrides)
-    store = ResultStore(out_dir / "store")
-    started_unix = time.time()
-    with Journal(out_dir / "journal.jsonl", sweep=config) as journal:
+    def serve(cells: list[CellSpec], store: ResultStore, journal: Journal) -> dict[str, Any]:
         coordinator = Coordinator(
             cells,
             store=store,
             journal=journal,
-            out_dir=out_dir,
+            out_dir=out,
             retries=retries,
             timeout=timeout,
             lease_ttl_s=lease_ttl_s,
@@ -691,19 +496,21 @@ def serve_sweep(
             summary = coordinator.wait(poll=poll, deadline_s=deadline_s)
         finally:
             coordinator.stop()
-    if events:
-        summary["timeline"] = merge_events(out_dir / "events")
-    summary.update(
-        experiments=ids,
+        summary["served"] = {"host": address[0], "port": address[1]}
+        return summary
+
+    return _sweep_in_dir(
+        experiment_ids,
+        out=out,
         scale=scale,
-        out=str(out_dir),
-        started_unix=started_unix,
-        served={"host": address[0], "port": address[1]},
+        overrides=overrides,
+        events=bool(events),
+        run=serve,
+        workers=0,  # a plain --resume of this dir runs locally
+        backend=backend,
+        profile=False,
+        serve={"lease_ttl_s": float(lease_ttl_s), "retries": int(retries)},
     )
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n"
-    )
-    return summary
 
 
 # -- the worker side -----------------------------------------------------------

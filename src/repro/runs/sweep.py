@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..obs import HUB as _OBS
 from ..obs.aggregate import merge_events
@@ -117,40 +117,65 @@ def run_sweep(
     knobs: journalled for resume, invisible to cache keys.
     """
     out_dir = Path(out)
+
+    def run(cells: list[CellSpec], store: ResultStore, journal: Journal) -> dict[str, Any]:
+        return run_cells(
+            cells,
+            store=store,
+            journal=journal,
+            workers=workers,
+            timeout=timeout,
+            retries=retries,
+            force=force,
+            max_cells=max_cells,
+            backend=backend,
+            events_dir=out_dir / "events" if events else None,
+            profile_dir=out_dir / "profiles" if profile else None,
+        )
+
+    return _sweep_in_dir(
+        experiment_ids,
+        out=out_dir,
+        scale=scale,
+        overrides=overrides,
+        events=bool(events),
+        run=run,
+        workers=workers,
+        backend=backend,
+        profile=bool(profile),
+    )
+
+
+def _sweep_in_dir(
+    experiment_ids: list[str] | None,
+    *,
+    out: str | Path,
+    scale: str,
+    overrides: dict[str, dict[str, Any]] | None,
+    events: bool,
+    run: Callable[[list[CellSpec], ResultStore, Journal], dict[str, Any]],
+    **knobs: Any,
+) -> dict[str, Any]:
+    """The sweep-directory routine of local and served sweeps.
+
+    Journals the configuration header (experiments, scale, overrides,
+    ``events`` and the other execution ``knobs``), enumerates the cells,
+    hands them to ``run(cells, store, journal)`` for execution, merges
+    the per-cell event files into ``timeline.jsonl`` when ``events`` is
+    on, and writes ``summary.json``.
+    """
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ids = [e.upper() for e in experiment_ids] if experiment_ids else sweepable_experiments()
     overrides = _normalise_overrides(overrides)
-    config = {
-        "experiments": ids,
-        "scale": scale,
-        "overrides": overrides,
-        "workers": workers,
-        "backend": backend,
-        "events": bool(events),
-        "profile": bool(profile),
-    }
+    config = {"experiments": ids, "scale": scale, "overrides": overrides, "events": events, **knobs}
     cells = enumerate_sweep(ids, scale, overrides)
-    store = ResultStore(out_dir / "store")
-    events_dir = out_dir / "events" if events else None
-    profile_dir = out_dir / "profiles" if profile else None
     started_unix = time.time()
     with Journal(out_dir / "journal.jsonl", sweep=config) as journal:
         with _OBS.span("runs.sweep"):
-            summary = run_cells(
-                cells,
-                store=store,
-                journal=journal,
-                workers=workers,
-                timeout=timeout,
-                retries=retries,
-                force=force,
-                max_cells=max_cells,
-                backend=backend,
-                events_dir=events_dir,
-                profile_dir=profile_dir,
-            )
-    if events_dir is not None:
-        summary["timeline"] = merge_events(events_dir)
+            summary = run(cells, ResultStore(out_dir / "store"), journal)
+    if events:
+        summary["timeline"] = merge_events(out_dir / "events")
     summary.update(
         experiments=ids,
         scale=scale,

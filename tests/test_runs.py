@@ -440,6 +440,42 @@ def test_failing_cell_retried_then_failed_without_aborting(tmp_path):
     assert data["cells"][cell_key(tiny_cell("survivor"))]["type"] == "finished"
 
 
+def _die_on_poison(cell, *args, **kwargs):
+    """``execute_cell`` whose worker process dies outright on the poison cell."""
+    if cell.spec.label == "poison":
+        os._exit(17)
+    return execute_cell(cell, *args, **kwargs)
+
+
+def test_dead_pool_worker_costs_its_cells_an_attempt(tmp_path, monkeypatch):
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+    from functools import partial
+
+    from repro.runs import scheduler
+
+    monkeypatch.setattr(scheduler, "execute_cell", _die_on_poison)
+    monkeypatch.setattr(
+        scheduler,
+        "ProcessPoolExecutor",
+        partial(ProcessPoolExecutor, mp_context=mp.get_context("fork")),
+    )
+    cells = [tiny_cell("poison")] + [tiny_cell(f"healthy{i}") for i in range(3)]
+    store = ResultStore(tmp_path / "store")
+    journal_path = tmp_path / "journal.jsonl"
+    with Journal(journal_path, sweep={"experiments": []}) as journal:
+        summary = run_cells(
+            cells, store=store, journal=journal, workers=2, timeout=None, retries=2
+        )
+    assert summary == {**summary, "cells": 4, "run": 3, "failed": 1}
+    [failure] = summary["failures"]
+    assert failure["key"] == cell_key(tiny_cell("poison")) and failure["attempts"] == 3
+    assert store.keys() == sorted(cell_key(c) for c in cells[1:])
+    states = read_journal(journal_path)["cells"]
+    assert states[cell_key(tiny_cell("poison"))]["type"] == "failed"
+    assert all(states[cell_key(c)]["type"] == "finished" for c in cells[1:])
+
+
 def test_run_cells_dedupes_identical_cells(tmp_path):
     summary = run_cells(
         [tiny_cell(), tiny_cell()], store=ResultStore(tmp_path), workers=0, timeout=None

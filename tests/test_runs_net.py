@@ -46,6 +46,7 @@ from repro.runs import (
     read_journal,
     read_workers,
     recv_frame,
+    run_cells,
     run_sweep,
     run_worker,
     send_frame,
@@ -314,6 +315,112 @@ def test_worker_subprocesses_over_tcp(tmp_path):
     )
     # Every cell's shipped events land in one merged timeline.
     assert sbox["summary"]["timeline"]["cells"] == 3
+
+
+def test_served_sweep_reads_no_cached_payload(tmp_path, monkeypatch):
+    out = tmp_path / "net"
+    run_sweep(["F1"], out=out, workers=0, timeout=None, overrides=F1_OVERRIDES)
+    reads = []
+    real_get = ResultStore.get
+
+    def counting_get(self, key):
+        reads.append(key)
+        return real_get(self, key)
+
+    monkeypatch.setattr(ResultStore, "get", counting_get)
+    summary = serve_sweep(["F1"], out=out, overrides=F1_OVERRIDES, poll=0.05, deadline_s=60)
+    assert summary["cached"] == 3 and summary["run"] == 0
+    assert reads == []  # nothing pending, so nothing to order by prior duration
+
+
+def test_served_sweep_records_cell_events_and_counters(tmp_path):
+    from repro.obs import HUB, read_events
+
+    out = tmp_path / "net"
+    # One cell cached up front: the served sweep both serves and runs cells.
+    run_sweep(["F1"], out=out, workers=0, timeout=None, max_cells=1, overrides=F1_OVERRIDES)
+    if HUB.active:  # residue from other modules
+        HUB.disable()
+    box = {}
+    with HUB.enabled(tmp_path / "obs.jsonl"):
+        summary = serve_sweep(
+            ["F1"],
+            out=out,
+            overrides=F1_OVERRIDES,
+            poll=0.05,
+            lease_ttl_s=10.0,
+            events=False,
+            on_listen=lambda address: box.update(worker=run_worker_thread(address)),
+        )
+    thread, worker_box = box["worker"]
+    thread.join(60)
+    assert "error" not in worker_box, worker_box.get("error")
+    assert summary["cached"] == 1 and summary["run"] == 2
+    assert HUB.counters["runs.cells_cached"] == 1
+    assert HUB.counters["runs.cells_run"] == 2
+    events, _ = read_events(tmp_path / "obs.jsonl")
+    cell_events = [e for e in events if e["type"] == "cell"]
+    assert sorted(e["status"] for e in cell_events) == ["cached", "finished", "finished"]
+    assert {e["key"] for e in cell_events} == set(ResultStore(out / "store").keys())
+
+
+def journal_contract(path):
+    """Per-key cell records minus timestamps, workers and wall-clock seconds;
+    the network-only record types are dropped."""
+    per_key = {}
+    for record in read_journal(path)["records"]:
+        if record["type"] in ("scheduled", "started", "finished", "failed"):
+            kept = {k: v for k, v in record.items() if k not in ("t", "worker", "seconds")}
+            per_key.setdefault(record["key"], []).append(kept)
+    return per_key
+
+
+def test_local_and_served_runs_keep_one_journal_contract(tmp_path):
+    from test_runs import failing_cell
+
+    cells = [
+        tiny_cell("parity-a"),
+        tiny_cell("parity-a"),  # duplicate
+        failing_cell(),
+        tiny_cell("parity-b", n=24),
+        tiny_cell("parity-c", n_reps=3),
+    ]
+    summaries, stores = {}, {}
+    for name, workers in (("inline", 0), ("pool", 2)):
+        stores[name] = ResultStore(tmp_path / name / "store")
+        with Journal(tmp_path / name / "journal.jsonl", sweep={"experiments": []}) as journal:
+            summaries[name] = run_cells(
+                cells, store=stores[name], journal=journal, workers=workers,
+                timeout=None, retries=1,
+            )
+    stores["net"] = ResultStore(tmp_path / "net" / "store")
+    with Journal(tmp_path / "net" / "journal.jsonl", sweep={"experiments": []}) as journal:
+        coord = Coordinator(
+            cells, store=stores["net"], journal=journal, out_dir=tmp_path / "net",
+            retries=1, lease_ttl_s=10.0, events=False,
+        )
+        address = coord.start()
+        try:
+            workers = [run_worker_thread(address) for _ in range(2)]
+            summaries["net"] = coord.wait(poll=0.05, deadline_s=120)
+            for thread, box in workers:
+                thread.join(60)
+                assert "error" not in box, box.get("error")
+        finally:
+            coord.stop()
+
+    def counts(summary):
+        return {k: summary[k] for k in ("cells", "cached", "run", "failed", "deferred")}
+
+    expected = {"cells": 4, "cached": 0, "run": 3, "failed": 1, "deferred": 0}
+    assert [counts(s) for s in summaries.values()] == [expected] * 3
+    reference = journal_contract(tmp_path / "inline" / "journal.jsonl")
+    assert [r["type"] for r in reference[cell_key(failing_cell())]] == [
+        "scheduled", "started", "started", "failed",
+    ]
+    for name in ("pool", "net"):
+        assert journal_contract(tmp_path / name / "journal.jsonl") == reference, name
+        assert_stores_identical(stores["inline"], stores[name])
 
 
 # -- protocol robustness -------------------------------------------------------
