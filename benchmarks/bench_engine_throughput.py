@@ -1,26 +1,14 @@
-"""Engine-throughput benches + the machine-readable harness entry point.
+"""Engine-throughput micro-benches under ``pytest-benchmark``.
 
-Two layers:
-
-- the micro-benches below measure single vectorized operations under
-  ``pytest-benchmark`` (one synchronous round at 100k users, the
-  satisfaction query at 1M users, cached vs uncached);
-- :func:`bench_harness_smoke` runs the full machine-readable harness
-  (:mod:`repro.bench` — the same thing ``python -m repro bench`` and the
-  CI smoke job invoke) and persists ``BENCH_engine.json`` so every bench
-  run refreshes the perf baseline.
+Each measures one vectorized operation: one synchronous round at 100k
+users, and the satisfaction query at 1M users, cached vs uncached.
 """
-
-from pathlib import Path
 
 import numpy as np
 
-from repro.bench import run_bench
 from repro.core.protocols import QoSSamplingProtocol
 from repro.core.state import State, caching_disabled
 from repro.workloads.generators import uniform_slack
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def bench_engine_round_100k_users(benchmark):
@@ -58,14 +46,3 @@ def bench_satisfaction_query_1m_users_uncached(benchmark):
     with caching_disabled():
         result = benchmark(state.satisfied_mask)
     assert result.shape == (1_000_000,)
-
-
-def bench_harness_smoke(benchmark):
-    """Full harness at smoke scale; writes BENCH_engine.json at repo root."""
-    payload = benchmark.pedantic(
-        lambda: run_bench(scale="smoke", out=REPO_ROOT / "BENCH_engine.json"),
-        rounds=1,
-        iterations=1,
-    )
-    assert len(payload["cells"]) >= 4
-    assert (REPO_ROOT / "BENCH_engine.json").exists()

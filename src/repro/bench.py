@@ -1,40 +1,34 @@
-"""Machine-readable engine benchmark harness (``python -m repro bench``).
+"""In-process budget checks (``python -m repro bench``).
 
-The convergence-time experiments spend nearly all wall-clock inside the
-engine's round loop, and the ROADMAP's north star is scale — so the perf
-trajectory needs a *machine-readable* baseline that accumulates per PR.
-This harness times:
+``perfbench/`` is the measurement of record for throughput and for the
+perf trajectory across changes.  This harness keeps only the cells that
+carry a budget nothing else measures:
 
-- **engine** cells: protocol rounds/second on representative workloads
-  (unit and weighted instances, with and without an access topology, every
-  registered protocol family, synchronous and alpha schedules);
-- **replicate** cells: whole-replication throughput through
-  :func:`repro.sim.parallel.replicate`, the unit the experiment sweeps
-  fan out;
-- **query** cells: ``State.satisfied_mask`` calls/second with the
-  generation-counter cache enabled vs. disabled — the direct measurement
-  of the memoization layer;
-- **runs** cells: the sweep orchestrator's scheduling overhead and its
-  2-worker speedup over serial execution, plus the fully-cached re-run
-  cost (see :mod:`repro.runs`);
-- **obs** cells: the telemetry hub's cost on the headline engine cell,
-  disabled (must be measurement noise, <2% vs. the committed baseline)
-  and enabled with the in-memory ring buffer (budget ≤5%), including the
-  counter-sampled mode (``sample_rate``); see :mod:`repro.obs`;
-- **aggregate** cells: the sweep-timeline merge
+- ``obs/overhead@unit/sampling-slackrate/sync``: the telemetry hub's
+  per-round cost on a 2000-user sampling cell, enabled (budget ≤ 5% of a
+  round, also in counter-sampled mode) and disabled (budget < 2%); see
+  :mod:`repro.obs`;
+- ``obs/aggregate``: the sweep-timeline merge
   (:func:`repro.obs.aggregate.merge_events`) over a synthetic 200-cell
-  sweep's per-cell event files, budget-gated per merged event.
+  sweep's event files, budget ≤ 50 µs per merged event;
+- ``runs/overhead``: the sweep orchestrator run serial, with 2 workers,
+  batched and fully cached (see :mod:`repro.runs`) — a cached re-run is
+  free and the batched leg beats serial;
+- ``engine/huge/sampling/sync``: one n = 10^6 replication under
+  ``tracemalloc`` against the pinned 96 MiB traced ceiling.  It runs
+  only when ``--only`` selects it.
 
-Results go to ``BENCH_engine.json`` (repo root by convention; CI uploads
-it as an artifact) plus a human-readable ASCII table on stdout.  Timings
-are wall-clock best-of-``repeats``; the JSON also records the interpreter
-and NumPy versions so regressions can be attributed.
+``tests/test_obs.py``, ``tests/test_memory.py`` and the CI
+``bench-smoke`` / ``memory-guardrail`` jobs assert the budgets.  Results
+go to a ``bench-engine/v1`` JSON payload (the interpreter and NumPy
+versions and a provenance stamp, then one record per cell) plus an ASCII
+table on stdout.
 
 Usage::
 
-    python -m repro bench                    # smoke scale, BENCH_engine.json
-    python -m repro bench --scale full       # larger cells, more repeats
-    python -m repro bench --out /tmp/b.json  # custom output path
+    python -m repro bench                            # default cells -> BENCH_engine.json
+    python -m repro bench --only engine/huge         # the million-user memory cell
+    python -m repro bench --out /tmp/b.json --seed 3
 """
 
 from __future__ import annotations
@@ -49,93 +43,22 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["ENGINE_CELLS", "run_bench", "main"]
+__all__ = ["run_bench", "render_bench"]
 
 
-# Each engine cell: name + registry names/kwargs, per scale.  The cells
-# deliberately cover unit/weighted instances, complete and restricted
-# access, all protocol families and both schedule styles, so a regression
-# on any hot path shows up in at least one row.
-ENGINE_CELLS: list[dict[str, Any]] = [
-    {
-        "name": "unit/sampling/sync",
-        "generator": "uniform_slack",
-        "protocol": "qos-sampling",
-        "schedule": "synchronous",
-    },
-    {
-        "name": "unit/sampling/alpha",
-        "generator": "uniform_slack",
-        "protocol": "qos-sampling",
-        "schedule": "alpha",
-        "schedule_kwargs": {"alpha": 0.5},
-    },
-    {
-        "name": "unit/sampling-slackrate/sync",
-        "generator": "uniform_slack",
-        "protocol": "qos-sampling",
-        "protocol_kwargs": {"rate": {"name": "slack-proportional"}},
-        "schedule": "synchronous",
-    },
-    {
-        "name": "weighted/sampling/sync",
-        "generator": "weighted_uniform",
-        "protocol": "qos-sampling",
-        "schedule": "synchronous",
-    },
-    {
-        "name": "access/sampling/sync",
-        "generator": "random_access",
-        "protocol": "qos-sampling",
-        "schedule": "synchronous",
-    },
-    {
-        "name": "unit/multi-probe/sync",
-        "generator": "uniform_slack",
-        "protocol": "multi-probe",
-        "protocol_kwargs": {"d": 2},
-        "schedule": "synchronous",
-    },
-    {
-        "name": "unit/permit/sync",
-        "generator": "uniform_slack",
-        "protocol": "permit",
-        "schedule": "synchronous",
-    },
-    {
-        "name": "unit/multi-probe/alpha",
-        "generator": "uniform_slack",
-        "protocol": "multi-probe",
-        "protocol_kwargs": {"d": 2},
-        "schedule": "alpha",
-        "schedule_kwargs": {"alpha": 0.5},
-    },
-    {
-        "name": "unit/permit/alpha",
-        "generator": "uniform_slack",
-        "protocol": "permit",
-        "schedule": "alpha",
-        "schedule_kwargs": {"alpha": 0.25},
-    },
-    {
-        "name": "unit/neighborhood/sync",
-        "generator": "uniform_slack",
-        "protocol": "neighborhood",
-        "protocol_kwargs": {"topology": "random-regular"},
-        "schedule": "synchronous",
-    },
-    {
-        "name": "unit/sweep-best-response/sync",
-        "generator": "uniform_slack",
-        "protocol": "sweep-best-response",
-        "schedule": "synchronous",
-    },
-]
+#: Instance size and round budget of the default cells (the obs cell runs
+#: four times the budget; the runs cell halves the instance).
+N_USERS, N_RESOURCES, MAX_ROUNDS = 2_000, 64, 64
 
-#: Scale presets: instance size, engine round budget and timing repeats.
-SCALES: dict[str, dict[str, int]] = {
-    "smoke": {"n": 2_000, "m": 64, "max_rounds": 64, "repeats": 2, "reps": 4},
-    "full": {"n": 50_000, "m": 1_024, "max_rounds": 128, "repeats": 3, "reps": 8},
+#: The engine config the obs cell times: slack-proportional sampling,
+#: started from a pile.
+OBS_CELL: dict[str, Any] = {
+    "name": "unit/sampling-slackrate/sync",
+    "generator": "uniform_slack",
+    "generator_kwargs": {"n": N_USERS, "m": N_RESOURCES},
+    "protocol": "qos-sampling",
+    "protocol_kwargs": {"rate": {"name": "slack-proportional"}},
+    "schedule": "synchronous",
 }
 
 #: Pinned peak-tracemalloc budget for one million-user replication
@@ -146,10 +69,9 @@ SCALES: dict[str, dict[str, int]] = {
 #: guardrail fails at 1.2x this value.
 HUGE_MEMORY_CEILING_BYTES = 96 * 1024 * 1024
 
-#: Million-user single-replication cells (the ROADMAP's scale milestone).
-#: Run at ``--scale full`` or when selected explicitly via ``--only``;
-#: each carries its memory ceiling into the payload so trend tooling and
-#: the CI guardrail read the budget from the same place.
+#: Million-user single-replication cells (the ROADMAP's scale milestone),
+#: run only when selected via ``--only``; each carries its memory ceiling
+#: into the payload so the CI guardrail reads the budget from there.
 HUGE_CELLS: list[dict[str, Any]] = [
     {
         "name": "engine/huge/sampling/sync",
@@ -162,75 +84,14 @@ HUGE_CELLS: list[dict[str, Any]] = [
     },
 ]
 
-#: Replication count for the batched-engine cells (the documented ≥3x
-#: speedup claim is defined over this batch width on the smoke workload).
-BATCH_REPS = 32
 
-#: ENGINE_CELLS entries with a batched kernel, timed batched-vs-serial.
-BATCHED_CELLS: list[tuple[str, str]] = [
-    ("engine/batched/sampling/sync", "unit/sampling/sync"),
-    ("engine/batched/sampling/alpha", "unit/sampling/alpha"),
-    ("engine/batched/sampling-slackrate/sync", "unit/sampling-slackrate/sync"),
-    ("engine/batched/multi-probe/alpha", "unit/multi-probe/alpha"),
-    ("engine/batched/permit/alpha", "unit/permit/alpha"),
-    ("engine/batched/neighborhood/sync", "unit/neighborhood/sync"),
-]
-
-
-def _build_cell(cell: dict[str, Any], n: int, m: int):
+def _build_cell(cell: dict[str, Any]):
     from .registry import build_instance, build_protocol, build_schedule
 
-    gen_kwargs = dict(cell.get("generator_kwargs", {}))
-    gen_kwargs.setdefault("n", n)
-    gen_kwargs.setdefault("m", m)
-    instance = build_instance(cell["generator"], **gen_kwargs)
-    proto_kwargs = dict(cell.get("protocol_kwargs", {}))
-    if cell["protocol"] == "neighborhood" and "m" not in proto_kwargs:
-        proto_kwargs["m"] = instance.n_resources
-    protocol = build_protocol(cell["protocol"], **proto_kwargs)
-    schedule = build_schedule(cell["schedule"], **cell.get("schedule_kwargs", {}))
+    instance = build_instance(cell["generator"], **dict(cell["generator_kwargs"]))
+    protocol = build_protocol(cell["protocol"], **dict(cell.get("protocol_kwargs", {})))
+    schedule = build_schedule(cell["schedule"], **dict(cell.get("schedule_kwargs", {})))
     return instance, protocol, schedule
-
-
-def _time_engine_cell(
-    cell: dict[str, Any], *, n: int, m: int, max_rounds: int, repeats: int, seed: int = 0
-) -> dict[str, Any]:
-    from .sim.engine import run
-
-    instance, protocol, schedule = _build_cell(cell, n, m)
-    best: dict[str, Any] | None = None
-    for rep in range(repeats):
-        started = time.perf_counter()
-        result = run(
-            instance,
-            protocol,
-            seed=seed,
-            schedule=schedule,
-            max_rounds=max_rounds,
-            initial="pile",
-        )
-        elapsed = time.perf_counter() - started
-        rounds = max(1, result.rounds)
-        sample = {
-            "seconds": elapsed,
-            "rounds": int(result.rounds),
-            "status": result.status,
-            "rounds_per_sec": rounds / elapsed,
-            "user_rounds_per_sec": rounds * instance.n_users / elapsed,
-        }
-        if best is None or sample["rounds_per_sec"] > best["rounds_per_sec"]:
-            best = sample
-    assert best is not None
-    return {
-        "kind": "engine",
-        "name": cell["name"],
-        "generator": cell["generator"],
-        "protocol": cell["protocol"],
-        "schedule": cell["schedule"],
-        "n_users": instance.n_users,
-        "n_resources": instance.n_resources,
-        **best,
-    }
 
 
 def _time_huge_cell(cell: dict[str, Any], *, seed: int = 0) -> dict[str, Any]:
@@ -240,7 +101,7 @@ def _time_huge_cell(cell: dict[str, Any], *, seed: int = 0) -> dict[str, Any]:
     allocations with it), so ``peak_traced_bytes`` is the cell-local
     allocation peak the pinned ceiling is stated over.  ``peak_rss_bytes``
     (``ru_maxrss``) rides along for context but is process-monotonic —
-    earlier cells in a full harness run inflate it — so the ceiling check
+    earlier cells in the same process inflate it — so the ceiling check
     uses the traced number.  One timed repetition: at this size a single
     run is seconds of work and best-of-N would double the harness cost
     for a cell whose headline metric is memory, not nanoseconds.
@@ -248,15 +109,12 @@ def _time_huge_cell(cell: dict[str, Any], *, seed: int = 0) -> dict[str, Any]:
     import resource
     import tracemalloc
 
-    from .registry import build_instance, build_protocol, build_schedule
     from .sim.engine import run
 
     tracemalloc.start()
     try:
         started = time.perf_counter()
-        instance = build_instance(cell["generator"], **dict(cell["generator_kwargs"]))
-        protocol = build_protocol(cell["protocol"], **dict(cell.get("protocol_kwargs", {})))
-        schedule = build_schedule(cell["schedule"], **dict(cell.get("schedule_kwargs", {})))
+        instance, protocol, schedule = _build_cell(cell)
         result = run(
             instance,
             protocol,
@@ -292,212 +150,17 @@ def _time_huge_cell(cell: dict[str, Any], *, seed: int = 0) -> dict[str, Any]:
     }
 
 
-def _time_replicate_cell(*, n: int, m: int, max_rounds: int, reps: int) -> dict[str, Any]:
-    from .sim.parallel import RunSpec, replicate
-
-    spec = RunSpec(
-        generator="uniform_slack",
-        generator_kwargs={"n": n, "m": m, "slack": 0.25},
-        protocol="qos-sampling",
-        initial="pile",
-        max_rounds=max_rounds,
-        label="bench-replicate",
-    )
-    started = time.perf_counter()
-    # Pinned to the scalar engine: this cell *is* the serial baseline the
-    # batched cells are compared against.
-    results = replicate(spec, reps, base_seed=0, workers=0, backend="serial")
-    elapsed = time.perf_counter() - started
-    return {
-        "kind": "replicate",
-        "name": "replicate/sampling/serial",
-        "generator": "uniform_slack",
-        "protocol": "qos-sampling",
-        "schedule": "synchronous",
-        "n_users": n,
-        "n_resources": m,
-        "reps": reps,
-        "seconds": elapsed,
-        "reps_per_sec": reps / elapsed,
-        "total_rounds": int(sum(r.rounds for r in results)),
-        "statuses": sorted({r.status for r in results}),
-    }
-
-
-def _time_hybrid_cell(
-    *,
-    n: int,
-    m: int,
-    max_rounds: int,
-    repeats: int,
-    reps: int = BATCH_REPS,
-    workers: int | None = None,
-) -> dict[str, Any]:
-    """Hybrid (processes × batch) replication vs its two pure legs.
-
-    Times three backends replicating the same spec ``reps`` times: the
-    scalar process pool, the single-process batched engine, and the hybrid
-    composition (batched shards across the pool).  All three produce
-    bit-identical per-rep results, so the comparison is pure wall-clock.
-    The pool-backed legs only help with ≥2 cores; the payload records the
-    shard count the hybrid leg actually ran with (``workers``) so trend
-    tooling and CI can condition the beats-both-legs expectation on it —
-    on one core the hybrid backend degenerates to plain batched by design.
-    """
-    from .sim.parallel import RunSpec, _default_workers, replicate
-
-    spec = RunSpec(
-        generator="uniform_slack",
-        generator_kwargs={"n": n, "m": m, "slack": 0.25},
-        protocol="qos-sampling",
-        initial="pile",
-        max_rounds=max_rounds,
-        label="bench-hybrid",
-    )
-    n_workers = _default_workers() if workers is None else int(workers)
-    n_shards = min(max(1, n_workers), reps)
-
-    # Untimed warm-up per leg (imports, pool spin-up), then interleaved
-    # best-of-``repeats`` so machine-speed drift hits all legs alike.
-    replicate(spec, reps, base_seed=0, backend="batched")
-    if n_shards >= 2:
-        replicate(spec, reps, base_seed=0, workers=n_workers, backend="hybrid")
-    pool_seconds = float("inf")
-    batched_seconds = float("inf")
-    hybrid_seconds = float("inf")
-    hybrid_results: list[Any] = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        replicate(spec, reps, base_seed=0, workers=n_workers, backend="serial")
-        pool_seconds = min(pool_seconds, time.perf_counter() - started)
-        started = time.perf_counter()
-        replicate(spec, reps, base_seed=0, backend="batched")
-        batched_seconds = min(batched_seconds, time.perf_counter() - started)
-        started = time.perf_counter()
-        results = replicate(spec, reps, base_seed=0, workers=n_workers, backend="hybrid")
-        elapsed = time.perf_counter() - started
-        if elapsed < hybrid_seconds:
-            hybrid_seconds = elapsed
-            hybrid_results = results
-    total_rounds = max(1, sum(r.rounds for r in hybrid_results))
-    hybrid_urps = total_rounds * n / hybrid_seconds
-    return {
-        "kind": "hybrid",
-        "name": "replicate/hybrid",
-        "generator": "uniform_slack",
-        "protocol": "qos-sampling",
-        "schedule": "synchronous",
-        "n_users": n,
-        "n_resources": m,
-        "reps": reps,
-        "workers": n_shards,
-        "seconds": hybrid_seconds,
-        "pool_seconds": pool_seconds,
-        "batched_seconds": batched_seconds,
-        "rounds": int(total_rounds),
-        "rounds_per_sec": total_rounds / hybrid_seconds,
-        "user_rounds_per_sec": hybrid_urps,
-        "speedup_vs_pool": pool_seconds / hybrid_seconds,
-        "speedup_vs_batched": batched_seconds / hybrid_seconds,
-        "statuses": sorted({r.status for r in hybrid_results}),
-    }
-
-
-def _time_batched_cell(
-    name: str,
-    cell: dict[str, Any],
-    *,
-    n: int,
-    m: int,
-    max_rounds: int,
-    repeats: int,
-    reps: int = BATCH_REPS,
-) -> dict[str, Any]:
-    """Batched-vs-serial replication throughput on one sampling cell.
-
-    Both sides replicate the same :class:`RunSpec` ``reps`` times in one
-    process; the serial side is pinned to the scalar engine, the batched
-    side runs the whole batch lockstep.  The two backends draw from
-    different bit generators, so total rounds differ slightly — the
-    comparison normalizes to ``user_rounds_per_sec`` (simulated user-round
-    throughput), the unit the ≥3x claim is stated in.
-    """
-    from .sim.parallel import RunSpec, replicate
-
-    gen_kwargs = dict(cell.get("generator_kwargs", {}))
-    gen_kwargs.setdefault("n", n)
-    gen_kwargs.setdefault("m", m)
-    spec = RunSpec(
-        generator=cell["generator"],
-        generator_kwargs=gen_kwargs,
-        protocol=cell["protocol"],
-        protocol_kwargs=dict(cell.get("protocol_kwargs", {})),
-        schedule=cell["schedule"],
-        schedule_kwargs=dict(cell.get("schedule_kwargs", {})),
-        initial="pile",
-        max_rounds=max_rounds,
-        label=f"bench-{name}",
-    )
-
-    # Interleave the two legs (serial, batched, serial, batched, ...) and
-    # take best-of each: machine-speed drift then hits both legs alike and
-    # the reported ratio stays stable across runs.  One untimed warm-up
-    # pair absorbs first-call import/allocation costs.
-    replicate(spec, reps, base_seed=0, workers=0, backend="serial")
-    replicate(spec, reps, base_seed=0, backend="batched")
-    serial_seconds = float("inf")
-    best_seconds = float("inf")
-    serial_results: list[Any] = []
-    batched_results: list[Any] = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        results = replicate(spec, reps, base_seed=0, workers=0, backend="serial")
-        elapsed = time.perf_counter() - started
-        if elapsed < serial_seconds:
-            serial_seconds = elapsed
-            serial_results = results
-        started = time.perf_counter()
-        results = replicate(spec, reps, base_seed=0, backend="batched")
-        elapsed = time.perf_counter() - started
-        if elapsed < best_seconds:
-            best_seconds = elapsed
-            batched_results = results
-    serial_rounds = max(1, sum(r.rounds for r in serial_results))
-    batched_rounds = max(1, sum(r.rounds for r in batched_results))
-
-    serial_urps = serial_rounds * n / serial_seconds
-    batched_urps = batched_rounds * n / best_seconds
-    return {
-        "kind": "batched",
-        "name": name,
-        "serial_cell": cell["name"],
-        "generator": cell["generator"],
-        "protocol": cell["protocol"],
-        "schedule": cell["schedule"],
-        "n_users": n,
-        "n_resources": m,
-        "reps": reps,
-        "seconds": best_seconds,
-        "serial_seconds": serial_seconds,
-        "rounds": int(batched_rounds),
-        "serial_rounds": int(serial_rounds),
-        "rounds_per_sec": batched_rounds / best_seconds,
-        "user_rounds_per_sec": batched_urps,
-        "serial_user_rounds_per_sec": serial_urps,
-        "speedup_vs_serial": batched_urps / serial_urps,
-        "statuses": sorted({r.status for r in batched_results}),
-    }
-
-
 def _time_obs_cell(
-    cell: dict[str, Any], *, n: int, m: int, max_rounds: int, repeats: int, seed: int = 0
+    cell: dict[str, Any], *, max_rounds: int, repeats: int = 5, seed: int = 0
 ) -> dict[str, Any]:
     """Telemetry overhead on one engine cell: hub disabled vs enabled.
 
     The enabled run uses the in-memory ring buffer only (no JSONL sink) —
-    the configuration the ≤5% overhead budget is defined over; the
-    disabled number doubles as the <2% no-op regression check against the
-    committed baseline.  Cache hit/miss counters from the run ride along.
+    the configuration the ≤5% overhead budget is defined over.  The
+    disabled budget (< 2% of a round) is stated over
+    ``per_round_cost_disabled_us``: the null spans plus the ``active``
+    guard the engine pays per round with the hub off.  Cache hit/miss
+    counters from the run ride along.
 
     Noise discipline.  The true enabled cost is single-digit microseconds
     per round against rounds of hundreds of microseconds — a ~1% effect
@@ -505,8 +168,8 @@ def _time_obs_cell(
     machine (observed run-to-run CPU-time noise here is ±10% with
     multi-second load epochs; the ratio of two such measurements flaps
     between -25% and +30%).  So the cell records both end-to-end
-    throughput numbers (best-of-``repeats``, interleaved, CPU time) for
-    trend tracking, but derives ``overhead_pct`` from a *direct*
+    throughput numbers (best-of-``repeats``, interleaved, CPU time) only
+    as context, and derives ``overhead_pct`` from a *direct*
     measurement: a tight loop timing exactly what the engine adds per
     round when the hub is enabled (the reused ``engine.round`` +
     ``engine.protocol-step`` span pair plus one ``round`` event) minus
@@ -519,7 +182,7 @@ def _time_obs_cell(
     from .obs import HUB
     from .sim.engine import run
 
-    instance, protocol, schedule = _build_cell(cell, n, m)
+    instance, protocol, schedule = _build_cell(cell)
 
     def one_run() -> tuple[float, Any]:
         started = time.process_time()
@@ -776,35 +439,6 @@ def _time_aggregate_cell(
     }
 
 
-def _time_query_cell(*, n: int, m: int, calls: int = 200) -> dict[str, Any]:
-    from .core.state import State, caching_disabled
-    from .registry import build_instance
-
-    instance = build_instance("uniform_slack", n=n, m=m, slack=0.25)
-    state = State.uniform_random(instance, np.random.default_rng(0))
-
-    def measure() -> float:
-        state.invalidate_caches()
-        started = time.perf_counter()
-        for _ in range(calls):
-            state.satisfied_mask()
-        return calls / (time.perf_counter() - started)
-
-    cached = measure()
-    with caching_disabled():
-        uncached = measure()
-    return {
-        "kind": "query",
-        "name": "query/satisfied-mask",
-        "n_users": n,
-        "n_resources": m,
-        "calls": calls,
-        "cached_calls_per_sec": cached,
-        "uncached_calls_per_sec": uncached,
-        "cache_speedup": cached / uncached if uncached else float("inf"),
-    }
-
-
 def _cell_filter(only: str | None):
     """Name predicate for ``--only``: glob, or prefix when glob-free."""
     import fnmatch
@@ -815,92 +449,32 @@ def _cell_filter(only: str | None):
     return lambda name: fnmatch.fnmatch(name, pattern)
 
 
+
 def run_bench(
     *,
-    scale: str = "smoke",
     out: str | Path = "BENCH_engine.json",
-    repeats: int | None = None,
     seed: int = 0,
     only: str | None = None,
 ) -> dict[str, Any]:
     """Run every selected cell, write the JSON payload, return it.
 
     ``only`` restricts the harness to cells whose name matches the given
-    glob (a bare string matches as a prefix) — e.g. ``only="engine/huge"``
-    runs just the million-user memory-audit cell, the mode CI's
-    memory-ceiling guardrail uses.  The ``engine/huge/*`` family is
-    otherwise included at ``--scale full`` only; the smoke harness stays
-    seconds-cheap.
+    glob (a bare string matches as a prefix).  The ``engine/huge/*``
+    family runs only under an explicit ``only`` — e.g.
+    ``only="engine/huge"``, the mode CI's memory-ceiling guardrail uses —
+    so the default harness stays seconds-cheap.
     """
-    if scale not in SCALES:
-        raise ValueError(f"unknown scale {scale!r}; known: {sorted(SCALES)}")
-    params = SCALES[scale]
-    n, m = params["n"], params["m"]
-    n_repeats = params["repeats"] if repeats is None else int(repeats)
     want = _cell_filter(only)
-
     cells: list[dict[str, Any]] = []
-    for cell in ENGINE_CELLS:
-        if want(cell["name"]):
-            cells.append(
-                _time_engine_cell(
-                    cell,
-                    n=n,
-                    m=m,
-                    max_rounds=params["max_rounds"],
-                    repeats=n_repeats,
-                    seed=seed,
-                )
-            )
-    if want("replicate/sampling/serial"):
-        cells.append(
-            _time_replicate_cell(
-                n=n, m=m, max_rounds=params["max_rounds"], reps=params["reps"]
-            )
-        )
-    for batched_name, serial_name in BATCHED_CELLS:
-        if want(batched_name):
-            cells.append(
-                _time_batched_cell(
-                    batched_name,
-                    next(c for c in ENGINE_CELLS if c["name"] == serial_name),
-                    n=n,
-                    m=m,
-                    max_rounds=params["max_rounds"],
-                    repeats=max(n_repeats, 5),
-                )
-            )
-    if want("replicate/hybrid"):
-        cells.append(
-            _time_hybrid_cell(
-                n=n,
-                m=m,
-                max_rounds=params["max_rounds"],
-                repeats=n_repeats,
-                reps=BATCH_REPS,
-            )
-        )
-    if want("query/satisfied-mask"):
-        cells.append(_time_query_cell(n=n, m=m))
     if want("runs/overhead"):
         cells.append(
-            _time_runs_cell(n=n, m=m, max_rounds=params["max_rounds"], reps=params["reps"])
+            _time_runs_cell(n=N_USERS, m=N_RESOURCES, max_rounds=MAX_ROUNDS, reps=4)
         )
     if want("obs/aggregate"):
-        cells.append(_time_aggregate_cell(repeats=max(n_repeats, 3)))
-    if want("obs/overhead@unit/sampling-slackrate/sync"):
-        cells.append(
-            _time_obs_cell(
-                next(c for c in ENGINE_CELLS if c["name"] == "unit/sampling-slackrate/sync"),
-                n=n,
-                m=m,
-                max_rounds=4 * params["max_rounds"],
-                repeats=max(n_repeats, 5),
-                seed=seed,
-            )
-        )
-    include_huge = only is not None or scale == "full"
-    if include_huge:
+        cells.append(_time_aggregate_cell())
+    if want(f"obs/overhead@{OBS_CELL['name']}"):
+        cells.append(_time_obs_cell(OBS_CELL, max_rounds=4 * MAX_ROUNDS, seed=seed))
+    if only is not None:
         for cell in HUGE_CELLS:
             if want(cell["name"]):
                 cells.append(_time_huge_cell(cell, seed=seed))
@@ -910,7 +484,7 @@ def run_bench(
     payload = {
         "schema": "bench-engine/v1",
         "created_unix": time.time(),
-        "scale": scale,
+        "scale": "smoke",
         "seed": seed,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
@@ -929,102 +503,48 @@ def render_bench(payload: dict[str, Any]) -> str:
 
     rows = []
     for c in payload["cells"]:
-        if c["kind"] == "engine":
-            metric = f"{c['rounds_per_sec']:,.0f} rounds/s"
-            detail = f"{c['rounds']} rounds, {c['status']}"
-        elif c["kind"] == "replicate":
-            metric = f"{c['reps_per_sec']:,.2f} reps/s"
-            detail = f"{c['reps']} reps, {c['total_rounds']} rounds"
-        elif c["kind"] == "batched":
-            metric = f"x{c['speedup_vs_serial']:.2f} vs serial"
-            detail = (
-                f"{c['reps']} reps lockstep, "
-                f"{c['user_rounds_per_sec']:,.0f} user-rounds/s "
-                f"(serial {c['serial_user_rounds_per_sec']:,.0f})"
-            )
-        elif c["kind"] == "hybrid":
-            metric = f"x{c['speedup_vs_batched']:.2f} vs batched"
-            detail = (
-                f"{c['reps']} reps over {c['workers']} shard(s), "
-                f"{c['user_rounds_per_sec']:,.0f} user-rounds/s; "
-                f"pool {c['pool_seconds']:.2f}s, "
-                f"batched {c['batched_seconds']:.2f}s (x{c['speedup_vs_pool']:.2f} vs pool)"
-            )
-        elif c["kind"] == "aggregate":
-            metric = f"{c['events_per_sec']:,.0f} events/s"
-            detail = (
-                f"{c['cells']} cells, {c['records']:,} records merged, "
-                f"{c['per_event_cost_us']:.1f}us/event, "
-                f"{c['bad_lines']} torn line(s) tolerated"
-            )
-        elif c["kind"] == "obs":
+        if c["kind"] == "obs":
             metric = f"{c['overhead_pct']:+.2f}% overhead"
             detail = (
                 f"{c['enabled_rounds_per_sec']:,.0f} on / "
                 f"{c['disabled_rounds_per_sec']:,.0f} off rounds/s; "
                 f"{c['overhead_pct_sampled']:+.2f}% @1/{c['sample_rate']}"
             )
+        elif c["kind"] == "aggregate":
+            metric = f"{c['per_event_cost_us']:.1f}us/event"
+            detail = (
+                f"{c['cells']} cells, {c['records']:,} records merged, "
+                f"{c['events_per_sec']:,.0f} events/s, "
+                f"{c['bad_lines']} torn line(s) tolerated"
+            )
         elif c["kind"] == "huge":
-            metric = f"{c['user_rounds_per_sec']:,.0f} user-rounds/s"
             mib = 1024 * 1024
             verdict = "OK" if c["within_ceiling"] else "OVER"
+            metric = f"{c['peak_traced_bytes'] / mib:,.1f} MiB traced"
             detail = (
-                f"peak {c['peak_traced_bytes'] / mib:,.1f} MiB traced "
-                f"(ceiling {c['memory_ceiling_bytes'] / mib:,.0f} MiB, {verdict}), "
+                f"ceiling {c['memory_ceiling_bytes'] / mib:,.0f} MiB, {verdict}; "
                 f"rss {c['peak_rss_bytes'] / mib:,.0f} MiB; "
                 f"{c['rounds']} rounds, {c['status']}"
             )
-        elif c["kind"] == "runs":
-            metric = f"x{c['speedup_2w']:.2f} @2 workers"
+        else:  # runs
+            metric = f"x{c['speedup_batched']:.2f} batched"
             detail = (
                 f"{c['cells']} cells: {c['seconds']:.2f}s serial, "
-                f"{c['seconds_2w']:.2f}s 2w, "
-                f"{c['batched_seconds']:.2f}s batched (x{c['speedup_batched']:.2f}), "
+                f"{c['seconds_2w']:.2f}s 2w (x{c['speedup_2w']:.2f}), "
+                f"{c['batched_seconds']:.2f}s batched, "
                 f"{c['cached_seconds']:.3f}s cached"
             )
-        else:
-            metric = f"{c['cached_calls_per_sec']:,.0f} calls/s"
-            detail = f"cache speedup x{c['cache_speedup']:,.0f}"
         rows.append(
             [
                 c["name"],
                 c.get("n_users", ""),
                 c.get("n_resources", ""),
-                f"{c['seconds']:.3f}" if "seconds" in c else "",
+                f"{c['seconds']:.3f}",
                 metric,
                 detail,
             ]
         )
     title = (
-        f"engine benchmark — scale={payload['scale']}, "
-        f"python {payload['python']}, numpy {payload['numpy']}"
+        f"bench budgets — python {payload['python']}, numpy {payload['numpy']}"
     )
-    return render_table(["cell", "n", "m", "seconds", "throughput", "notes"], rows, title=title)
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro-qoslb bench")
-    parser.add_argument("--scale", choices=sorted(SCALES), default="smoke")
-    parser.add_argument("--out", default="BENCH_engine.json")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--only",
-        default=None,
-        help="run only cells whose name matches this glob/prefix "
-        "(e.g. 'engine/huge')",
-    )
-    args = parser.parse_args(argv)
-    payload = run_bench(
-        scale=args.scale, out=args.out, repeats=args.repeats, seed=args.seed,
-        only=args.only,
-    )
-    print(render_bench(payload))
-    print(f"[wrote {args.out}]")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return render_table(["cell", "n", "m", "seconds", "budget metric", "notes"], rows, title=title)

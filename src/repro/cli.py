@@ -13,9 +13,7 @@ Installed as ``repro-qoslb`` (also ``python -m repro``)::
     repro-qoslb runs worker --connect host:7341              # remote worker
     repro-qoslb run F1 --store sweep/store --render-only     # figures, no compute
     repro-qoslb runs gc sweep/ --max-age 30 --max-bytes 512M # LRU store pruning
-    repro-qoslb bench --scale smoke          # perf harness -> BENCH_engine.json
-    repro-qoslb trend BENCH_*.json           # perf trend across bench artifacts
-    repro-qoslb trend bench-history/ --gate  # statistical perf-regression verdict
+    repro-qoslb bench                        # budget cells -> BENCH_engine.json
     repro-qoslb runs watch sweep/            # live dashboard over a running sweep
     repro-qoslb trace-report run.jsonl       # summarize an obs event file
     repro-qoslb trace-report sweep/ --top-functions 15   # cProfile view
@@ -453,34 +451,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if result.converged else 2
 
 
-def _cmd_trend(args: argparse.Namespace) -> int:
-    from .obs import render_trend
-
-    paths: list[Path] = []
-    for arg in args.paths:
-        path = Path(arg)
-        if path.is_dir():  # a bench history directory of dated artifacts
-            paths.extend(sorted(path.glob("*.json")))
-        else:
-            paths.append(path)
-    if not args.paths:
-        paths = sorted(Path(".").glob("BENCH_engine*.json"))
-    if not paths:
-        print("no bench artifacts found (expected BENCH_engine*.json)", file=sys.stderr)
-        return 2
-    if args.gate:
-        from .obs import gate, render_gate
-
-        result = gate(paths, band=args.gate_band)
-        # JSON on stdout is the contract (CI parses it); the table is
-        # operator garnish on stderr.
-        print(json.dumps(result, indent=2, sort_keys=True))
-        print(render_gate(result), file=sys.stderr)
-        return 1 if result["verdict"] == "regressed" else 0
-    print(render_trend(paths))
-    return 0
-
-
 def _cmd_trace_report(args: argparse.Namespace) -> int:
     from .obs import render_profiles, render_report, summarize_events
 
@@ -553,19 +523,9 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import render_bench, run_bench
 
-    out = args.out
-    if args.history:
-        # Dated artifact into a history directory — `trend <dir>` reads them
-        # back in chronological (= lexicographic) order.
-        history = Path(args.history)
-        history.mkdir(parents=True, exist_ok=True)
-        stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-        out = str(history / f"BENCH_engine-{stamp}.json")
-    payload = run_bench(
-        scale=args.scale, out=out, repeats=args.repeats, seed=args.seed, only=args.only
-    )
+    payload = run_bench(out=args.out, seed=args.seed, only=args.only)
     print(render_bench(payload))
-    print(f"[wrote {out}]")
+    print(f"[wrote {args.out}]")
     return 0
 
 
@@ -852,16 +812,9 @@ def main(argv: list[str] | None = None) -> int:
     p_churn.set_defaults(fn=_cmd_churn)
 
     p_bench = sub.add_parser(
-        "bench", help="engine perf harness -> BENCH_engine.json + table"
+        "bench", help="in-process budget cells -> BENCH_engine.json + table"
     )
-    p_bench.add_argument("--scale", choices=("smoke", "full"), default="smoke")
     p_bench.add_argument("--out", default="BENCH_engine.json")
-    p_bench.add_argument(
-        "--history",
-        metavar="DIR",
-        help="write a dated artifact into this directory instead of --out",
-    )
-    p_bench.add_argument("--repeats", type=int, default=None)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
         "--only",
@@ -870,29 +823,6 @@ def main(argv: list[str] | None = None) -> int:
         "(e.g. 'engine/huge' for the million-user memory-audit cell)",
     )
     p_bench.set_defaults(fn=_cmd_bench)
-
-    p_trend = sub.add_parser(
-        "trend", help="render a perf trend table over BENCH_engine.json artifacts"
-    )
-    p_trend.add_argument(
-        "paths",
-        nargs="*",
-        help="bench artifacts (default: BENCH_engine*.json in the current directory)",
-    )
-    p_trend.add_argument(
-        "--gate",
-        action="store_true",
-        help="statistical regression verdict instead of the trend table: newest "
-        "artifact vs the noise band of the rest; JSON on stdout, exit 1 on regression",
-    )
-    p_trend.add_argument(
-        "--gate-band",
-        type=float,
-        default=0.10,
-        metavar="FRAC",
-        help="noise-band floor as a fraction (default 0.10 = 10%%)",
-    )
-    p_trend.set_defaults(fn=_cmd_trend)
 
     p_report = sub.add_parser(
         "trace-report", help="summarize an obs-events/v1 JSONL telemetry file"

@@ -1,4 +1,4 @@
-"""Runtime observability: telemetry hub, provenance stamps, trend/report.
+"""Runtime observability: telemetry hub, provenance stamps, reports.
 
 Zero-dependency, process-local instrumentation for the simulators (see
 :mod:`repro.obs.hub` for the contract).  Quickstart::
@@ -10,14 +10,13 @@ Zero-dependency, process-local instrumentation for the simulators (see
     print(obs.render_report(obs.summarize_events("run.jsonl")))
 
 Sweeps ship per-cell event files that :mod:`repro.obs.aggregate` merges
-into one timeline, and :mod:`repro.obs.regress` gates bench-artifact
-history for perf regressions.
+into one timeline.
 
-CLI surface: ``repro-qoslb trend`` (bench artifact series, ``--gate``
-for the regression verdict), ``repro-qoslb trace-report`` (one event
-file, or ``--top-functions`` over ``.pstats`` profiles), ``repro-qoslb
-runs watch`` (live sweep dashboard); ``repro-qoslb simulate --obs-out
-run.jsonl`` records a run.  See ``docs/OBSERVABILITY.md``.
+CLI surface: ``repro-qoslb trace-report`` (one event file, or
+``--top-functions`` over ``.pstats`` profiles), ``repro-qoslb runs
+watch`` (live sweep dashboard); ``repro-qoslb simulate --obs-out
+run.jsonl`` records a run.  ``repro-qoslb bench`` asserts the hub's
+overhead budget (see :mod:`repro.bench`).  See ``docs/OBSERVABILITY.md``.
 """
 
 from .aggregate import (
@@ -30,15 +29,12 @@ from .aggregate import (
 )
 from .hub import HUB, OBS_EVENTS_SCHEMA, TelemetryHub
 from .provenance import PROVENANCE_FIELDS, git_sha, provenance_stamp
-from .regress import GATE_SCHEMA, gate, gate_cells, render_gate
 from .report import profile_rows, render_profiles, render_report, summarize_events
-from .trend import load_bench_artifacts, render_trend, trend_rows
 
 __all__ = [
     "HUB",
     "TelemetryHub",
     "OBS_EVENTS_SCHEMA",
-    "GATE_SCHEMA",
     "TIMELINE_NAME",
     "PROVENANCE_FIELDS",
     "git_sha",
@@ -48,14 +44,8 @@ __all__ = [
     "merge_events",
     "read_events",
     "write_cell_events",
-    "gate",
-    "gate_cells",
-    "render_gate",
     "profile_rows",
     "render_profiles",
     "render_report",
     "summarize_events",
-    "load_bench_artifacts",
-    "render_trend",
-    "trend_rows",
 ]

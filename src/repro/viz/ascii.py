@@ -29,26 +29,24 @@ def sparkline(
     *,
     lo: float | None = None,
     hi: float | None = None,
-    gap: str = " ",
 ) -> str:
     """One-line trend: ``sparkline([5,3,1,0]) -> '█▅▂▁'``.
 
-    NaNs render as ``gap`` (a space by default; pass e.g. ``"·"`` to make
-    holes in a series visible); a constant series renders at the lowest
+    NaNs render as a space; a constant series renders at the lowest
     level.  ``lo``/``hi`` pin the scale (e.g. 0..1 for fractions across
     charts).
     """
     arr = _finite(values)
     finite = arr[np.isfinite(arr)]
     if finite.size == 0:
-        return gap * arr.size
+        return " " * arr.size
     lo = float(np.min(finite)) if lo is None else float(lo)
     hi = float(np.max(finite)) if hi is None else float(hi)
     span = hi - lo
     out = []
     for v in arr:
         if not math.isfinite(v):
-            out.append(gap)
+            out.append(" ")
             continue
         if span <= 0:
             out.append(_SPARK_LEVELS[0])

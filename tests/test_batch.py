@@ -291,15 +291,9 @@ def test_max_rounds_zero_round_satisfaction():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.stress
-def test_batched_throughput_3x_on_smoke_workload():
-    """The documented claim: >=3x user-round throughput at n=2000, R=32."""
-    s = spec(
-        generator_kwargs={"n": 2000, "m": 64, "slack": 0.4},
-        max_rounds=64,
-        label="stress-batch",
-    )
-    reps = 32
+def _batched_vs_serial(s, reps=32):
+    """User-round throughput of both backends on ``reps`` replications of
+    ``s``, after checking they return identical per-rep summaries."""
     replicate(s, reps, base_seed=0, workers=0, backend="serial")  # warm-up
     replicate(s, reps, base_seed=0, backend="batched")
     serial_best = batched_best = float("inf")
@@ -311,11 +305,54 @@ def test_batched_throughput_3x_on_smoke_workload():
         batched_res = replicate(s, reps, base_seed=0, backend="batched")
         batched_best = min(batched_best, time.perf_counter() - t0)
     assert [summary(r) for r in serial_res] == [summary(r) for r in batched_res]
-    rounds = sum(r.rounds for r in serial_res)
-    serial_urps = rounds * 2000 / serial_best
-    batched_urps = rounds * 2000 / batched_best
+    user_rounds = sum(r.rounds for r in serial_res) * s.generator_kwargs["n"]
+    return user_rounds / serial_best, user_rounds / batched_best
+
+
+@pytest.mark.stress
+def test_batched_throughput_3x_on_smoke_workload():
+    """The documented claim: >=3x user-round throughput at n=2000, R=32."""
+    s = spec(
+        generator_kwargs={"n": 2000, "m": 64, "slack": 0.4},
+        max_rounds=64,
+        label="stress-batch",
+    )
+    serial_urps, batched_urps = _batched_vs_serial(s)
     assert batched_urps >= 3.0 * serial_urps, (
         f"batched {batched_urps:,.0f} vs serial {serial_urps:,.0f} user-rounds/s"
+    )
+
+
+#: The other batched kernels, at n=2000, m=64 (slack 0.25) from a pile.
+KERNEL_CONFIGS = {
+    "sampling/alpha": dict(schedule="alpha", schedule_kwargs={"alpha": 0.5}),
+    "sampling-slackrate/sync": dict(protocol_kwargs={"rate": {"name": "slack-proportional"}}),
+    "multi-probe/alpha": dict(
+        protocol="multi-probe",
+        protocol_kwargs={"d": 2},
+        schedule="alpha",
+        schedule_kwargs={"alpha": 0.5},
+    ),
+    "permit/alpha": dict(protocol="permit", schedule="alpha", schedule_kwargs={"alpha": 0.25}),
+    "neighborhood/sync": dict(
+        protocol="neighborhood", protocol_kwargs={"topology": "random-regular"}
+    ),
+}
+
+
+@pytest.mark.stress
+@pytest.mark.parametrize("config", list(KERNEL_CONFIGS))
+def test_batched_throughput_2x_on_other_kernels(config):
+    """Every other batched kernel keeps a >=2x floor over serial at R=32."""
+    s = spec(
+        generator_kwargs={"n": 2000, "m": 64},
+        max_rounds=64,
+        label=f"stress-batch-{config}",
+        **KERNEL_CONFIGS[config],
+    )
+    serial_urps, batched_urps = _batched_vs_serial(s)
+    assert batched_urps >= 2.0 * serial_urps, (
+        f"{config}: batched {batched_urps:,.0f} vs serial {serial_urps:,.0f} user-rounds/s"
     )
 
 

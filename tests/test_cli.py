@@ -144,29 +144,6 @@ def test_simulate_obs_out_and_trace_report(tmp_path, capsys):
     assert "counter totals" in out
 
 
-def test_trend_command(tmp_path, capsys, monkeypatch):
-    from repro.bench import run_bench
-
-    a = tmp_path / "BENCH_a.json"
-    b = tmp_path / "BENCH_b.json"
-    run_bench(scale="smoke", out=str(a), repeats=1)
-    run_bench(scale="smoke", out=str(b), repeats=1)
-    capsys.readouterr()  # drop bench chatter
-    assert main(["trend", str(a), str(b)]) == 0
-    out = capsys.readouterr().out
-    assert "bench trend" in out
-    assert "2 artifact(s)" in out
-    assert "unit/sampling/sync" in out
-    assert "obs/overhead" in out
-
-    # no artifacts anywhere -> exit 2, not a traceback
-    monkeypatch.chdir(tmp_path / "..")
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    monkeypatch.chdir(empty)
-    assert main(["trend"]) == 2
-
-
 def test_bad_kv_arg():
     with pytest.raises(SystemExit):
         main(["simulate", "--generator", "uniform_slack", "--gen-arg", "oops"])
@@ -226,18 +203,18 @@ def test_run_with_store_caches_cells(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bench_history_and_trend_directory(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    history = tmp_path / "bench-history"
-    for _ in range(2):
-        assert main(["bench", "--scale", "smoke", "--repeats", "1",
-                     "--history", str(history)]) == 0
-    artifacts = sorted(history.glob("BENCH_engine-*.json"))
-    assert len(artifacts) == 2
-    assert all(a.name.endswith("Z.json") for a in artifacts)
-    capsys.readouterr()
-
-    assert main(["trend", str(history)]) == 0
-    out = capsys.readouterr().out
-    assert "2 artifact(s)" in out
-    assert "runs/overhead" in out
+def test_bench_writes_the_budget_cells(tmp_path, capsys):
+    out = tmp_path / "BENCH_engine.json"
+    assert main(["bench", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["schema"] == "bench-engine/v1"
+    assert [c["name"] for c in payload["cells"]] == [
+        "runs/overhead",
+        "obs/aggregate",
+        "obs/overhead@unit/sampling-slackrate/sync",
+    ]
+    assert main(["bench", "--out", str(out), "--only", "obs/aggregate"]) == 0
+    assert [c["name"] for c in json.loads(out.read_text())["cells"]] == ["obs/aggregate"]
+    assert "obs/aggregate" in capsys.readouterr().out
+    with pytest.raises(SystemExit):  # bench takes only --out, --seed and --only
+        main(["bench", "--scale", "smoke"])
