@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol as TypingProtocol
 
 import numpy as np
@@ -74,14 +74,6 @@ class ExponentialDelay(DelayModel):
         return self.floor + float(rng.exponential(self.mean))
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    dst: str = field(compare=False)
-    msg: Message = field(compare=False)
-
-
 class Network:
     """The event queue plus delivery bookkeeping.
 
@@ -103,7 +95,9 @@ class Network:
         self.delay_model = delay_model or ExponentialDelay()
         self.agents: dict[str, Agent] = {}
         self.now: float = 0.0
-        self._queue: list[_Event] = []
+        # (time, seq, dst, msg) heap entries: ``seq`` is unique, so tuple
+        # comparison breaks time ties by send order and never reaches dst.
+        self._queue: list[tuple[float, int, str, Message]] = []
         self._seq = itertools.count()
         #: message counts by type name (Tick excluded: it is a timer).
         self.message_counts: dict[str, int] = {}
@@ -145,7 +139,7 @@ class Network:
         self._push(self.now + delay, dst, msg)
 
     def _push(self, time: float, dst: str, msg: Message) -> None:
-        heapq.heappush(self._queue, _Event(time, next(self._seq), dst, msg))
+        heapq.heappush(self._queue, (time, next(self._seq), dst, msg))
 
     # -- running -----------------------------------------------------------------
 
@@ -157,12 +151,12 @@ class Network:
         """Deliver the next event; False when the queue is empty."""
         if not self._queue:
             return False
-        ev = heapq.heappop(self._queue)
-        self.now = ev.time
-        if type(ev.msg).__name__ in MOVE_MESSAGES:
+        time, _, dst, msg = heapq.heappop(self._queue)
+        self.now = time
+        if type(msg).__name__ in MOVE_MESSAGES:
             self.in_flight_moves -= 1
-        if self._deliverable(ev.dst, ev.msg):
-            self.agents[ev.dst].handle(ev.msg, self)
+        if self._deliverable(dst, msg):
+            self.agents[dst].handle(msg, self)
         return True
 
     def _deliverable(self, dst: str, msg: Message) -> bool:
@@ -192,7 +186,7 @@ class Network:
         delivered = 0
         with _OBS.span("msgsim.deliver"):
             for count in range(1, max_events + 1):
-                if self._queue and self._queue[0].time > max_time:
+                if self._queue and self._queue[0][0] > max_time:
                     reason = "max_time"
                     break
                 if not self.step():

@@ -94,6 +94,38 @@ exact:
   consumes the stream exactly like the per-element array bound (one
   bounded draw per element from the same 32-bit source) and returns the
   same values; a test pins this NumPy property.
+
+Incremental unsatisfied set
+---------------------------
+
+Only unsatisfied users act, so a round's work should scale with them, not
+with ``R * n``.  The engine carries the unsatisfied set from round to
+round as sorted flat ``(row, user)`` positions (``upos``) plus each
+member's flat resource (``ures``); per-row counts are segment bounds
+(``searchsorted``), and the movers are the set itself (synchronous) or
+the members whose full-width alpha draw activates them.  The refresh is
+exact under a uniform threshold ``q0``:
+
+- a user is unsatisfied iff its ``(row, resource)`` cell has
+  ``ell(ld) > q0``;
+- a satisfied user is never a mover, so it stays on its cell, and it can
+  turn unsatisfied only if that cell flipped from good to bad;
+- hence ``unsat(t+1)`` is a subset of ``unsat(t)`` plus the residents of
+  cells that flipped, and filtering ``unsat(t)`` by the new ``(A, m)``
+  bad mask (one gather over the set) is exact for every row without such
+  a flip.
+
+A row with a flip is rescanned in full, and so is every row in the first
+round after a state rebuild (start, events) and in every round whose set
+fills over half the live user slots, where one sequential pass costs less
+than gathering at the set's positions (the neighborhood dynamics spend
+most rounds there).  Row compaction re-bases the set instead of
+discarding it.  Mixed thresholds always rescan: a load
+increase on a cell can flip residents whose own thresholds lie between
+the old and the new latency while leaving the others satisfied, and only
+the per-user scan finds them.  The set equals the full rescan's
+positions, so every stream sees the same calls and trajectories stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -468,7 +500,6 @@ class _BatchEngine:
         # Reused per-round scratch, sliced to the live count.
         self.usr_buf = np.empty((R, n), dtype=np.float64)
         self.unsat_buf = np.empty((R, n), dtype=bool)
-        self.act_buf = np.empty((R, n), dtype=bool) if self.alpha_draws else None
 
     def _rebuild_state(self, assignment: np.ndarray) -> None:
         """(Re-)stack assignment/load/rate state; every replication is live."""
@@ -487,6 +518,14 @@ class _BatchEngine:
         # for the supported kernels; the only per-run rate state is the
         # backoff probability vector, kept stacked here.
         self.P = np.full((R, self.n), self.rate.p0) if self.backoff else None
+        # The unsatisfied set (see the module docstring): sorted flat
+        # positions, their flat resources, the (A, m) over-threshold mask
+        # it was read from (None: the next refresh rescans in full), and
+        # the last full rescan's (A, n) mask, which mixed thresholds
+        # refresh every round.
+        self.upos = self.ures = None
+        self.res_bad = None
+        self.unsat_mask = None
 
     # -- events ---------------------------------------------------------------
 
@@ -566,12 +605,77 @@ class _BatchEngine:
         usr_lat = np.take(res_lat.reshape(-1), self.asgF, out=self.usr_buf[:A])
         return np.greater(usr_lat, self.thresholds, out=self.unsat_buf[:A])
 
+    def _refresh_unsat(self, A: int) -> None:
+        """Bring ``upos``/``ures`` up to this round's unsatisfied set.
+
+        Under a uniform threshold the set is last round's, filtered by
+        the new over-threshold mask, in every row where no cell went from
+        good to bad; such a row, and every row of the first round after a
+        state rebuild, is rescanned in full.  So is every row while the
+        set fills over half the live user slots: one sequential pass then
+        costs less than gathering at the set's positions.  Mixed
+        thresholds always rescan (see the module docstring).
+        """
+        asg_flat = self.asgF.reshape(-1)
+        flip = None
+        if self.uthr:
+            bad = self._res_latencies(self.ld) > self.q0
+            prev, self.res_bad = self.res_bad, bad
+            old = self.upos
+            if prev is not None and 2 * old.size <= A * self.n:
+                flip = np.greater(bad, prev).any(axis=1)
+        if flip is None or flip.all():
+            self.unsat_mask = self._unsatisfied(A)
+            upos = np.flatnonzero(self.unsat_mask)
+        else:
+            bad_flat = bad.reshape(-1)
+            ures = asg_flat.take(old)
+            keep = bad_flat.take(ures)
+            if not flip.any():
+                idx = np.flatnonzero(keep)
+                self.upos, self.ures = old.take(idx), ures.take(idx)
+                return
+            # Rescan the flipped rows; filter the others.
+            keep &= ~flip.take(old // self.n)
+            fr = np.flatnonzero(flip)
+            scan = np.flatnonzero(bad_flat.take(self.asgF[fr]))
+            scan += ((fr - np.arange(fr.size)) * self.n)[scan // self.n]
+            # Row-disjoint sorted runs: a stable sort merges them.
+            upos = np.sort(np.concatenate([old[keep], scan]), kind="stable")
+        self.upos, self.ures = upos, asg_flat.take(upos)
+
+    def _drop_rows(self, keep: np.ndarray) -> None:
+        """Compact the live block to the rows in ``keep`` (bool per live row).
+
+        Flat offsets baked into ``asgF`` and the unsatisfied set are
+        re-based, so the next refresh filters instead of rescanning.
+        """
+        A = keep.size
+        kept = np.flatnonzero(keep)
+        # Rows each surviving row moves up by, indexed by its old position.
+        shift = np.arange(A) - (np.cumsum(keep) - 1)
+        self.rows, self.ld = self.rows[kept], self.ld[kept]
+        self.asgF = self.asgF[kept]
+        self.asgF -= (shift[kept] * self.m)[:, None].astype(self.asgF.dtype)
+        if self.backoff:
+            self.P = self.P[kept]
+        if self.res_bad is not None:
+            self.res_bad = self.res_bad[kept]
+        if self.unsat_mask is not None:
+            self.unsat_mask = self.unsat_mask[kept]
+        self.live_rngs = [self.live_rngs[k] for k in kept.tolist()]
+        row = self.upos // self.n
+        sel = np.flatnonzero(keep.take(row))
+        self.upos = self.upos.take(sel) - shift.take(row.take(sel)) * self.n
+        self.ures = self.asgF.reshape(-1).take(self.upos)
+
     # -- commit machinery -----------------------------------------------------
 
-    def _contention(self, unsat, pos, A):
+    def _contention(self, ures, A):
         """The slack-proportional rate's contention, per flat (row, resource).
 
-        ``max(1, unsatisfied users on the resource)``; movers gather it at
+        ``max(1, unsatisfied users on the resource)``, counted from the
+        unsatisfied users' flat resources ``ures``; movers gather it at
         their own resource.
         """
         if self.uthr and self.uw:
@@ -580,15 +684,11 @@ class _BatchEngine:
             # threshold — so the unsatisfied count there is just its load
             # count, already tracked in ``ld``.
             return np.maximum(self.ld.reshape(-1), 1.0)
-        # (without alpha masking the mover positions are exactly the
-        # unsatisfied positions, so the scan is already done)
-        unsat_pos = pos if not self.alpha_draws else np.flatnonzero(unsat)
-        asg_flat = self.asgF.reshape(-1)
         # Integer bincounts are exact, so accumulating per chunk is
         # bit-identical to one whole-width pass (memory contract).
         occ = np.zeros(A * self.m, dtype=np.int64)
-        for cs, ce in iter_chunks(unsat_pos.size):
-            occ += np.bincount(asg_flat.take(unsat_pos[cs:ce]), minlength=A * self.m)
+        for cs, ce in iter_chunks(ures.size):
+            occ += np.bincount(ures[cs:ce], minlength=A * self.m)
         return np.maximum(occ, 1)
 
     def _commit_bound(self, contention, A):
@@ -615,10 +715,8 @@ class _BatchEngine:
         return np.clip(free / contention.take(of_v), self.rate.floor, 1.0)
 
     def _row_bounds(self, flat_pos: np.ndarray, A: int) -> np.ndarray:
-        """Row boundaries of row-major flat ``(row, user)`` positions."""
-        bounds = np.zeros(A + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat_pos // self.n, minlength=A), out=bounds[1:])
-        return bounds
+        """Row boundaries of sorted row-major flat ``(row, user)`` positions."""
+        return np.searchsorted(flat_pos, np.arange(A + 1, dtype=np.int64) * self.n)
 
     def _row_uniforms(self, bounds: np.ndarray, A: int) -> np.ndarray:
         """One ``random(count)`` call per row with entries, in row order.
@@ -630,8 +728,8 @@ class _BatchEngine:
         b = bounds.tolist()  # Python-int sizes skip NumPy's size coercion
         for k in range(A):
             s, e = b[k], b[k + 1]
-            if s != e:
-                unif[s:e] = self.live_rngs[k].random(e - s)
+            if s != e:  # in place: the same draws as random(e - s)
+                self.live_rngs[k].random(out=unif[s:e])
         return unif
 
     def _draw_targets(
@@ -657,28 +755,27 @@ class _BatchEngine:
                 t[s * d : e * d] = self.access.sample(np.repeat(u_all[s:e], d), rng)
         return t
 
-    def _resident_min(self, unsat, A) -> np.ndarray:
+    def _resident_min(self, A) -> np.ndarray | None:
         """Flat ``(A * m)`` smallest threshold among satisfied residents.
 
         The binding constraint a polite arrival must not violate
         (``stability.satisfied_resident_min`` per row).  min over a set of
         floats is order-independent, so any exact accumulation matches the
-        scalar ``np.minimum.at``.
+        scalar ``np.minimum.at``.  Under a uniform threshold it is ``q0``
+        on a cell with a satisfied resident and ``inf`` elsewhere, while
+        every arrival is already held to its own ``q0``: it never binds,
+        and None says so.
         """
-        Am = A * self.m
-        resF = np.full(Am, np.inf)
-        sat_pos = np.flatnonzero(~unsat)
+        if self.uthr:
+            return None
+        resF = np.full(A * self.m, np.inf)
+        sat_pos = np.flatnonzero(~self.unsat_mask)
         if sat_pos.size:
             sat_asg = self.asgF.reshape(-1).take(sat_pos)
-            if self.uthr:
-                # uniform q: occupied-by-a-satisfied-user == min equals q0
-                occ = np.bincount(sat_asg, minlength=Am)
-                resF[occ > 0] = self.q0
-            else:
-                np.minimum.at(resF, sat_asg, self.thrF.take(sat_pos))
+            np.minimum.at(resF, sat_asg, self.thrF.take(sat_pos))
         return resF
 
-    def _commit_select(self, valid_pos, valid_t, valid_tf, unsat, pos, A):
+    def _commit_select(self, valid_pos, valid_own, valid_t, valid_tf, A):
         """Rate-rule commit over the valid movers (multi-probe/neighborhood)."""
         if valid_pos.size == 0:
             z = np.empty(0, dtype=np.int64)
@@ -690,19 +787,20 @@ class _BatchEngine:
         elif self.backoff:
             keep = unif < self.P.reshape(-1).take(valid_pos)
         else:
-            of_v = self.asgF.reshape(-1).take(valid_pos)
-            contention = self._contention(unsat, pos, A)
+            contention = self._contention(self.ures, A)
             keep = unif < self._slack_probs(
-                valid_t, valid_tf, of_v, valid_pos, contention
+                valid_t, valid_tf, valid_own, valid_pos, contention
             )
         idx = np.flatnonzero(keep)
         return valid_pos.take(idx), valid_t.take(idx), valid_tf.take(idx), None
 
     # -- kernels -------------------------------------------------------------
-    # Each returns the committed (flat users, resources, flat targets) plus
-    # the per-row attempt counts, or None when every attempt commits.
+    # Each takes the movers' flat positions and flat own resources, their
+    # row bounds and row offsets, and returns the committed (flat users,
+    # resources, flat targets) plus the per-row attempt counts, or None
+    # when every attempt commits.
 
-    def _kernel_sampling(self, pos, counts, bounds, rkm, unsat, A):
+    def _kernel_sampling(self, pos, own, bounds, rkm, A):
         # Targets then uniforms: each stream sees the scalar call order.
         t = self._draw_targets(pos, bounds, A)
         unif = self._row_uniforms(bounds, A)
@@ -715,18 +813,18 @@ class _BatchEngine:
         # ``_commit_bound``), and only the survivors that also move to a
         # satisfying target pay for the exact probability.
         rate = self.rate
-        asg_flat = self.asgF.reshape(-1)
         ldf = self.ld.reshape(-1)
         if type(rate) is ConstantRate:
             cand = np.flatnonzero(unif < rate.p)
         elif self.backoff:
             cand = np.flatnonzero(unif < self.P.reshape(-1).take(pos))
         else:
-            contention = self._contention(unsat, pos, A)
+            contention = self._contention(self.ures, A)
             ub = self._commit_bound(contention, A)
-            cand = np.flatnonzero(unif < ub.take(asg_flat.take(pos)))
+            cand = np.flatnonzero(unif < ub.take(own))
 
         pos_c, t_c, rkm_c = pos.take(cand), t.take(cand), rkm.take(cand)
+        own_c = own.take(cand)
         # The probe math here is purely elementwise per mover, so it
         # streams over chunks (bit-exact by construction) and only the
         # surviving indices are kept full-width.
@@ -734,7 +832,7 @@ class _BatchEngine:
         for cs, ce in iter_chunks(pos_c.size):
             p_ch, t_ch = pos_c[cs:ce], t_c[cs:ce]
             tf_ch = rkm_c[cs:ce] + t_ch
-            moving = tf_ch != asg_flat.take(p_ch)
+            moving = tf_ch != own_c[cs:ce]
             hyp = ldf.take(tf_ch) + (
                 np.where(moving, 1.0, 0.0)
                 if self.uw
@@ -755,19 +853,16 @@ class _BatchEngine:
         fu_f, t_f = pos_c.take(idx), t_c.take(idx)
         tf_f = rkm_c.take(idx) + t_f
         if type(rate) is SlackProportionalRate:
-            probs = self._slack_probs(
-                t_f, tf_f, asg_flat.take(fu_f), fu_f, contention
-            )
+            probs = self._slack_probs(t_f, tf_f, own_c.take(idx), fu_f, contention)
             keep = np.flatnonzero(unif.take(cand.take(idx)) < probs)
             fu_f, t_f, tf_f = fu_f.take(keep), t_f.take(keep), tf_f.take(keep)
         return fu_f, t_f, tf_f, None
 
-    def _kernel_multiprobe(self, pos, counts, bounds, rkm, unsat, A):
+    def _kernel_multiprobe(self, pos, own, bounds, rkm, A):
         M, d = pos.size, self.d
         cand = self._draw_targets(pos, bounds, A, d)
         rkm_d = np.repeat(rkm, d)
         tfc = rkm_d + cand  # flat probe targets, (M*d,)
-        asg_flat = self.asgF.reshape(-1)
         ldf = self.ld.reshape(-1)
         # The scalar protocol adds the mover's weight unconditionally (even
         # for own-resource probes — those are masked out below, not here).
@@ -775,9 +870,8 @@ class _BatchEngine:
             1.0 if self.uw else np.repeat(self.wF.take(pos), d)
         )
         lat = self._probe_latency(cand, tfc, hyp).reshape(M, d)
-        ownF = asg_flat.take(pos)
         thr = self.q0 if self.uthr else self.thrF.take(pos)[:, None]
-        valid = (lat <= thr) & (tfc.reshape(M, d) != ownF.astype(np.int64)[:, None])
+        valid = (lat <= thr) & (tfc.reshape(M, d) != own.astype(np.int64)[:, None])
         # Max headroom = min post-arrival latency among valid probes.
         lat_masked = np.where(valid, lat, np.inf)
         best = np.argmin(lat_masked, axis=1)
@@ -787,13 +881,12 @@ class _BatchEngine:
         valid_pos = pos.take(vidx)
         valid_tf = tfc[ar * d + best].take(vidx)
         valid_t = valid_tf - rkm.take(vidx)
-        return self._commit_select(valid_pos, valid_t, valid_tf, unsat, pos, A)
+        return self._commit_select(valid_pos, own.take(vidx), valid_t, valid_tf, A)
 
-    def _kernel_neighborhood(self, pos, counts, bounds, rkm, unsat, A):
+    def _kernel_neighborhood(self, pos, own, bounds, rkm, A):
         M = pos.size
         n = self.n
-        asg_flat = self.asgF.reshape(-1)
-        own_r = asg_flat.take(pos).astype(np.int64) - rkm
+        own_r = own.astype(np.int64) - rkm
         t = np.empty(M, dtype=np.int64)
         for k in range(A):
             s, e = bounds[k], bounds[k + 1]
@@ -828,18 +921,18 @@ class _BatchEngine:
             ok &= self.access.contains(pos % n, t)
         vidx = np.flatnonzero(ok)
         return self._commit_select(
-            pos.take(vidx), t.take(vidx), tf.take(vidx), unsat, pos, A
+            pos.take(vidx), own.take(vidx), t.take(vidx), tf.take(vidx), A
         )
 
-    def _kernel_permit(self, pos, counts, bounds, rkm, unsat, A):
+    def _kernel_permit(self, pos, own, bounds, rkm, A):
         t = self._draw_targets(pos, bounds, A)
         tf = rkm + t
-        pidx = np.flatnonzero(tf != self.asgF.reshape(-1).take(pos))
+        pidx = np.flatnonzero(tf != own)
         if pidx.size == 0:
             z = np.empty(0, dtype=np.int64)
             return z, z, z, None
         pos_p, t_p, tf_p = pos.take(pidx), t.take(pidx), tf.take(pidx)
-        resF = self._resident_min(unsat, A)
+        resF = self._resident_min(A)
 
         # Group probes by (rep, target), each group sorted by threshold
         # descending.  Flat targets separate replications, so one global
@@ -877,7 +970,7 @@ class _BatchEngine:
         ldf = self.ld.reshape(-1)
         x = ldf.take(tf_s) + cw
         latv = self._probe_latency(t_s, tf_s, x)
-        bound = np.minimum(resF.take(tf_s), q_s)
+        bound = q_s if resF is None else np.minimum(resF.take(tf_s), q_s)
         cond = latv <= bound
         # Largest prefix before the first violation: both sides are
         # monotone, so the scalar's early-exit scan grants exactly the
@@ -887,16 +980,16 @@ class _BatchEngine:
         gidx = np.flatnonzero(within < first_fail[seg_id])
         return pos_s.take(gidx), t_s.take(gidx), tf_s.take(gidx), None
 
-    def _kernel_blind(self, pos, counts, bounds, rkm, unsat, A):
+    def _kernel_blind(self, pos, own, bounds, rkm, A):
         jump_p = self.protocol.jump_p
         if jump_p < 1.0:
             jidx = np.flatnonzero(self._row_uniforms(bounds, A) < jump_p)
-            pos, rkm = pos.take(jidx), rkm.take(jidx)
+            pos, own, rkm = pos.take(jidx), own.take(jidx), rkm.take(jidx)
             bounds = self._row_bounds(pos, A)
         # Every jumper is an attempt; a self-target is a wasted one.
         t = self._draw_targets(pos, bounds, A)
         tf = rkm + t
-        midx = np.flatnonzero(tf != self.asgF.reshape(-1).take(pos))
+        midx = np.flatnonzero(tf != own)
         return pos.take(midx), t.take(midx), tf.take(midx), np.diff(bounds)
 
     def _br_targets(self, p, ownf, k, resF):
@@ -916,13 +1009,14 @@ class _BatchEngine:
             ok &= lat <= resF.take(af)
         return allowed[ok], lat[ok]
 
-    def _kernel_bestresponse(self, pos, counts, bounds, rkm, unsat, A):
+    def _kernel_bestresponse(self, pos, own, bounds, rkm, A):
         # rng.permutation(count) consumes the stream exactly like the
         # scalar rng.permutation(movers) and yields the same order as
-        # indices, so scanning it finds the scalar protocol's mover.
+        # indices, so scanning it finds the scalar protocol's mover.  The
+        # first scanned mover usually moves, so the scan reads the
+        # permutation lazily instead of listing it.
         proto = self.protocol
-        ownF = self.asgF.reshape(-1).take(pos)
-        resF = self._resident_min(unsat, A) if proto.polite else None
+        resF = self._resident_min(A) if proto.polite else None
         fu, tt = [], []
         b = bounds.tolist()
         for k in range(A):
@@ -930,8 +1024,9 @@ class _BatchEngine:
             if s == e:
                 continue
             rng = self.live_rngs[k]
-            for i in (s + rng.permutation(e - s)).tolist():
-                cand, lat = self._br_targets(pos[i], ownF[i], k, resF)
+            for j in rng.permutation(e - s):
+                i = s + int(j)
+                cand, lat = self._br_targets(pos[i], own[i], k, resF)
                 if cand.size:
                     break
             else:
@@ -970,10 +1065,10 @@ class _BatchEngine:
                 break
             n, m = self.n, self.m
             row_off = self.row_off
-            asgF, ld = self.asgF, self.ld
 
-            unsat = self._unsatisfied(A)
-            n_unsat = np.count_nonzero(unsat, axis=1)
+            self._refresh_unsat(A)
+            ubounds = self._row_bounds(self.upos, A)
+            n_unsat = np.diff(ubounds)
 
             # Same liveness contract as the scalar engine: wall-clock
             # throttled heartbeat/progress so a sweep worker running the
@@ -985,7 +1080,7 @@ class _BatchEngine:
                         {
                             "round": round_index,
                             "live": int(A),
-                            "unsatisfied": int(n_unsat.sum()),
+                            "unsatisfied": int(self.upos.size),
                         },
                     )
                 if _OBS.every("cell.progress", PROGRESS_INTERVAL_S):
@@ -996,7 +1091,7 @@ class _BatchEngine:
                             "max_rounds": max_rounds,
                             "live": int(A),
                             "reps": self.R,
-                            "unsatisfied": int(n_unsat.sum()),
+                            "unsatisfied": int(self.upos.size),
                             "n_users": n,
                         },
                     )
@@ -1010,29 +1105,21 @@ class _BatchEngine:
             newly = sat_now & (self.satisfying_rounds[rows] < 0)
             if newly.any():
                 self.satisfying_rounds[rows[newly]] = round_index
-            done = sat_now if not has_pending else np.zeros(A, dtype=bool)
-            if done.any():
-                dead = rows[done]
+            if not has_pending and sat_now.any():
+                dead = rows[sat_now]
                 for r in dead:
                     self.statuses[r] = "satisfying"
                 self.rounds[dead] = self.satisfying_rounds[dead]
                 self.n_satisfied_final[dead] = n
-                self.assignment[dead] = asgF[done] - row_off[:A][done][:, None]
-                keep = ~done
-                kept_off = row_off[:A][keep]
-                rows, ld, n_unsat = rows[keep], ld[keep], n_unsat[keep]
-                unsat = unsat[keep]  # copies out of the scratch buffer
-                asgF = asgF[keep]
+                self.assignment[dead] = self.asgF[sat_now] - row_off[:A][sat_now][:, None]
+                keep = ~sat_now
+                self._drop_rows(keep)
+                rows, n_unsat = self.rows, n_unsat[keep]
                 A = rows.size
-                asgF -= (kept_off - row_off[:A])[:, None]  # re-base flat offsets
-                if self.backoff:
-                    self.P = self.P[keep]
-                self.live_rngs = [
-                    g for g, kp in zip(self.live_rngs, keep) if kp
-                ]
-                self.rows, self.asgF, self.ld = rows, asgF, ld
                 if A == 0:
                     break
+                ubounds = self._row_bounds(self.upos, A)
+            asgF, ld = self.asgF, self.ld
             if round_index == max_rounds:
                 self.rounds[rows] = self.rounds_executed[rows]
                 self.n_satisfied_final[rows] = n - n_unsat
@@ -1043,29 +1130,24 @@ class _BatchEngine:
             # Streams are independent, so interleaving *across* replications
             # is free; what the parity contract fixes is the order *within*
             # each stream — alpha mask, then the kernel's own draw sequence.
+            # Movers are a subset of the unsatisfied set: all of it under a
+            # synchronous schedule, its activated members under alpha.
             if self.alpha_draws:
-                act = self.act_buf[:A]
-                draws = self.usr_buf[:A]  # scratch rows; usr_lat is not read again
+                draws = self.usr_buf[:A]
                 for k in range(A):
                     self.live_rngs[k].random(out=draws[k])
-                np.less(draws, self.alpha, out=act)
-                act &= unsat
-                counts = np.count_nonzero(act, axis=1)
-                movers_src = act
+                act = np.flatnonzero(draws.reshape(-1).take(self.upos) < self.alpha)
+                pos, own = self.upos.take(act), self.ures.take(act)
+                bounds = self._row_bounds(pos, A)
+                counts = np.diff(bounds)
             else:
-                counts = n_unsat
-                movers_src = unsat
+                pos, own, bounds, counts = self.upos, self.ures, ubounds, n_unsat
             self.rounds_executed[rows] = round_index + 1
             self.total_messages[rows] += counts * self.phases
 
-            pos = np.flatnonzero(movers_src)  # flat (row, user) mover positions
             if pos.size:
-                bounds = np.zeros(A + 1, dtype=np.int64)
-                np.cumsum(counts, out=bounds[1:])
                 rkm = np.repeat(row_off[:A], counts)  # per-mover row offset
-                fu_f, t_f, tf_f, n_attempts = kernel(
-                    pos, counts, bounds, rkm, unsat, A
-                )
+                fu_f, t_f, tf_f, n_attempts = kernel(pos, own, bounds, rkm, A)
                 n_committed = np.bincount(fu_f // n, minlength=A)
                 if n_attempts is None:
                     n_attempts = n_committed
@@ -1120,9 +1202,12 @@ class _BatchEngine:
                 dead_q = np.zeros(A, dtype=bool)
                 for k in np.nonzero(check)[0]:
                     r = rows[k]
-                    verdict = self.protocol.is_quiescent(
-                        State(self.instance, asgF[k] - k * m)
-                    )
+                    # Judge the loads the run carries, as the scalar engine
+                    # does: a fresh bincount can differ from the
+                    # incrementally updated weighted loads in the last bit.
+                    state = State(self.instance, asgF[k] - k * m)
+                    state.loads = ld[k].copy()
+                    verdict = self.protocol.is_quiescent(state)
                     if verdict:
                         self.statuses[r] = "quiescent"
                         self.rounds[r] = self.rounds_executed[r]
@@ -1132,17 +1217,7 @@ class _BatchEngine:
                     elif verdict is False:
                         self.quiescence_dirty[r] = False
                 if dead_q.any():
-                    keep = ~dead_q
-                    kept_off = row_off[:A][keep]
-                    rows, ld = rows[keep], ld[keep]
-                    asgF = asgF[keep]
-                    asgF -= (kept_off - row_off[: rows.size])[:, None]
-                    if self.backoff:
-                        self.P = self.P[keep]
-                    self.live_rngs = [
-                        g for g, kp in zip(self.live_rngs, keep) if kp
-                    ]
-                    self.rows, self.asgF, self.ld = rows, asgF, ld
+                    self._drop_rows(~dead_q)
 
 
 def run_batch(

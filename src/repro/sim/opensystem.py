@@ -123,14 +123,15 @@ def run_open_system(
     else:
         sampler = threshold_sampler
 
-    functions = [latency] * m if latency is not None else None
+    # The resources never change, so one (immutable) profile serves every
+    # round's instance; only the thresholds are rebuilt per round.
+    profile = (
+        LatencyProfile([latency] * m)
+        if latency is not None
+        else LatencyProfile.identical(m)
+    )
 
     def make_instance(thresholds: np.ndarray) -> Instance:
-        profile = (
-            LatencyProfile(functions)
-            if functions is not None
-            else LatencyProfile.identical(m)
-        )
         return Instance(thresholds=thresholds, latencies=profile, name="open-system")
 
     pop0 = (

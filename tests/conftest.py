@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.instance import Instance
 from repro.core.latency import LatencyProfile, SpeedScaledLatency
 from repro.core.state import State
+
+# CI runs the property tests with ``--hypothesis-profile=ci``: a fixed
+# example sequence and no per-example deadline, so a run's verdict does
+# not depend on the draw or on the runner's speed.  Local runs keep the
+# default profile and explore fresh examples each time.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture

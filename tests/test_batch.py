@@ -663,6 +663,33 @@ def test_batched_event_injection_parity(proto_name, proto_kwargs):
         assert np.array_equal(batch.final_assignment[i], ref.final_state.assignment)
 
 
+def test_quiescence_verdict_reads_the_carried_loads():
+    """Non-unit weights leave float residue in incrementally updated loads.
+    The scalar engine judges quiescence on those loads, so the batched
+    engine must too: here a fresh bincount would call round 3 quiescent,
+    while the carried loads still admit the move that satisfies at 4."""
+    from repro.core.instance import Instance
+    from repro.core.latency import IdentityLatency, LatencyProfile, SpeedScaledLatency
+
+    instance = Instance(
+        thresholds=np.ones(10),
+        latencies=LatencyProfile(
+            [IdentityLatency(), IdentityLatency(), SpeedScaledLatency(0.5)]
+        ),
+        weights=np.asarray([0.1, 0.1, 0.1, 0.7] + [0.1] * 6),
+    )
+    star = {"topology": "star", "m": 3}
+    _assert_kernel_parity(instance, "neighborhood", star, "synchronous", {}, max_rounds=10)
+    batch = run_batch(
+        instance,
+        build_protocol("neighborhood", **star),
+        seeds=[0],
+        max_rounds=10,
+        initial="pile",
+    )
+    assert batch.statuses == ["satisfying"] and int(batch.rounds[0]) == 4
+
+
 def test_run_batch_rejects_unsupported_events():
     from repro.sim.events import UserDeparture
 
@@ -913,7 +940,9 @@ def test_slack_commit_bound_dominates_probabilities():
         pos = np.flatnonzero(movers)
         if pos.size == 0:
             return
-        contention = eng._contention(unsat, pos, A)
+        contention = eng._contention(
+            eng.asgF.reshape(-1).take(np.flatnonzero(unsat)), A
+        )
         t = rngs[0].integers(0, m, size=pos.size)
         tf = (pos // n) * m + t
         of = eng.asgF.reshape(-1).take(pos)
@@ -925,5 +954,176 @@ def test_slack_commit_bound_dominates_probabilities():
             state = State(instance, eng.asgF[k].astype(np.int64) - k * m)
             want = rate.commit_probs(state, pos[rows] % n, t[rows])
             assert np.array_equal(probs[rows], want)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Property test: batched == serial on random tiny configurations, and the
+# carried unsatisfied set equals a full rescan every round.
+# ---------------------------------------------------------------------------
+
+
+#: Every kernel and the tunables that change its code path.
+PROPERTY_PROTOCOLS = [
+    ("qos-sampling", {}),
+    ("qos-sampling", {"rate": {"name": "const", "p": 0.7}}),
+    ("qos-sampling", {"rate": SLACK}),
+    ("qos-sampling", {"rate": RATES[3]}),
+    ("naive-greedy", {}),
+    ("multi-probe", {"d": 2}),
+    ("multi-probe", {"d": 3, "rate": SLACK}),
+    ("multi-probe", {"d": 2, "rate": RATES[3]}),
+    ("permit", {}),
+    ("neighborhood", {"topology": "star"}),
+    ("neighborhood", {"topology": "ring", "rate": SLACK}),
+    ("blind-random", {}),
+    ("blind-random", {"jump_p": 0.5}),
+    ("best-response", {}),
+    ("best-response", {"greedy": False}),
+    ("best-response", {"polite": False}),
+]
+
+
+def _property_cases():
+    from hypothesis import strategies as st
+
+    from repro.core.instance import AccessMap, Instance
+    from repro.core.latency import (
+        AffineLatency,
+        IdentityLatency,
+        LatencyProfile,
+        MM1Latency,
+        SpeedScaledLatency,
+    )
+    from repro.sim.events import (
+        ResourceFailure,
+        ResourceRecovery,
+        UserArrival,
+        UserDeparture,
+    )
+
+    latency = st.one_of(
+        st.just(IdentityLatency()),
+        st.sampled_from([0.5, 1.0, 2.0]).map(SpeedScaledLatency),
+        st.sampled_from([(1.0, 0.5), (2.0, 0.0)]).map(lambda t: AffineLatency(*t)),
+        st.sampled_from([4.0, 9.0]).map(MM1Latency),
+    )
+    # Weights whose float sums leave residues when users come and go.
+    weight = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.5])
+
+    @st.composite
+    def case(draw):
+        n, m = draw(st.integers(1, 14)), draw(st.integers(1, 5))
+        proto_name, proto_kwargs = draw(st.sampled_from(PROPERTY_PROTOCOLS))
+        if proto_name == "neighborhood":
+            m = max(m, 3)
+            proto_kwargs = dict(proto_kwargs, m=m)
+        q = draw(st.sampled_from([1.0, 2.0, 3.5, 6.0]))
+        if draw(st.booleans()):
+            qs = [q] * n
+        else:
+            qs = draw(st.lists(st.sampled_from([1.0, 2.0, 3.5, 6.0]), min_size=n, max_size=n))
+        ws = [1.0] * n if draw(st.booleans()) else draw(
+            st.lists(weight, min_size=n, max_size=n)
+        )
+        if draw(st.booleans()):
+            fs = [draw(latency)] * m
+        else:
+            fs = draw(st.lists(latency, min_size=m, max_size=m))
+        events = []
+        access = None
+        if draw(st.booleans()):
+            # Events need complete access; fire early so rows then die
+            # (satisfy or go quiescent) at different rounds.
+            if m >= 2:
+                events += [ResourceFailure(1, m - 1), ResourceRecovery(3, m - 1, fs[-1])]
+            k = draw(st.integers(1, 3))
+            events.append(UserArrival(2, thresholds=np.full(k, draw(st.sampled_from([q, 2 * q])))))
+            if n >= 2:
+                events.append(UserDeparture(4, users=[0]))
+        elif m >= 2 and draw(st.booleans()):
+            access = AccessMap(
+                [sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))) for _ in range(n)],
+                m,
+            )
+        instance = Instance(
+            thresholds=np.asarray(qs, dtype=np.float64),
+            latencies=LatencyProfile(fs),
+            weights=np.asarray(ws, dtype=np.float64),
+            access=access,
+        )
+        sched = draw(st.sampled_from(SCHEDULES))
+        return {
+            "instance": instance,
+            "proto": (proto_name, proto_kwargs),
+            "sched": sched,
+            "initial": draw(st.sampled_from(["random", "pile"])),
+            "events": events,
+            "seeds": draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3)),
+            "max_rounds": draw(st.sampled_from([0, 3, 40])),
+        }
+
+    return case()
+
+
+def test_property_batched_equals_serial(monkeypatch):
+    """Random tiny configurations over every kernel, both schedules,
+    uniform and mixed thresholds, unit and non-unit weights, complete and
+    restricted access, pile and random starts, and event scripts: batched
+    per-rep summaries and final assignments equal the serial engine's, and
+    the carried unsatisfied set equals a full rescan in every round."""
+    from hypothesis import HealthCheck, given, settings
+
+    from repro.sim.batch import _BatchEngine
+
+    refresh = _BatchEngine._refresh_unsat
+
+    def checked_refresh(self, A):
+        refresh(self, A)
+        want = np.flatnonzero(self._unsatisfied(A))
+        assert np.array_equal(self.upos, want)
+        assert np.array_equal(self.ures, self.asgF.reshape(-1).take(want))
+
+    drop = _BatchEngine._drop_rows
+
+    def checked_drop(self, keep):
+        # The set survives compaction as the same (replication, user)
+        # members, with flat positions and resources re-based.
+        def members(eng):
+            return [(eng.rows[p // eng.n], p % eng.n) for p in eng.upos.tolist()]
+
+        want = [(r, u) for r, u in members(self) if r in set(self.rows[keep].tolist())]
+        drop(self, keep)
+        assert members(self) == want
+        assert np.array_equal(self.ures, self.asgF.reshape(-1).take(self.upos))
+
+    monkeypatch.setattr(_BatchEngine, "_refresh_unsat", checked_refresh)
+    monkeypatch.setattr(_BatchEngine, "_drop_rows", checked_drop)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(c=_property_cases())
+    def check(c):
+        (proto_name, proto_kwargs), (sched_name, sched_kwargs) = c["proto"], c["sched"]
+
+        def parts():
+            return (c["instance"], build_protocol(proto_name, **proto_kwargs)), dict(
+                schedule=build_schedule(sched_name, **sched_kwargs),
+                max_rounds=c["max_rounds"],
+                initial=c["initial"],
+                events=c["events"],
+            )
+
+        args, kwargs = parts()
+        batch = run_batch(
+            *args, seeds=[np.random.default_rng(s) for s in c["seeds"]], **kwargs
+        )
+        for i, s in enumerate(c["seeds"]):
+            args, kwargs = parts()
+            ref = run(*args, seed=np.random.default_rng(s), keep_state=True, **kwargs)
+            got = batch.decompose()[i]
+            assert summary(got)[:-1] == summary(ref)[:-1]
+            assert got.last_event_round == ref.last_event_round
+            assert np.array_equal(batch.final_assignment[i], ref.final_state.assignment)
 
     check()
